@@ -6,10 +6,7 @@ session extraction, the three model fits, prediction, and the LRU cache.
 """
 
 import json
-import os
 import pathlib
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -136,66 +133,6 @@ def test_kernel_zipf_sampling(benchmark):
     benchmark(lambda: int(sampler.sample_many(100_000).sum()))
 
 
-def _model_factory(name: str, compact: bool, popularity):
-    if name == "standard":
-        from repro.core.standard import StandardPPM
-
-        return lambda: StandardPPM(compact=compact)
-    if name == "lrs":
-        from repro.core.lrs import LRSPPM
-
-        return lambda: LRSPPM(compact=compact)
-    if name == "pb":
-        from repro.core.pb import PopularityBasedPPM
-
-        return lambda: PopularityBasedPPM(popularity, compact=compact)
-    from repro.core.extras import FirstOrderMarkov
-
-    return lambda: FirstOrderMarkov(compact=compact)
-
-
-def test_kernel_compact_build_speedup():
-    """Compact-kernel model builds vs the TrieNode builds, per model.
-
-    The acceptance bar for the kernel is >= 2x aggregate build throughput
-    at NASA scale; reduced scales (REPRO_BENCH_SCALE < 1) shrink the
-    corpus until fixed per-build overhead dominates, so CI smoke runs
-    only assert a looser floor.
-    """
-    lab = get_lab("nasa-like", 6)
-    sessions = lab.split(5).train_sessions
-    popularity = lab.popularity(5)
-    payload = {}
-    node_total = compact_total = 0.0
-    for name in ("standard", "lrs", "pb", "markov1"):
-        times = {}
-        for mode in ("node", "compact"):
-            factory = _model_factory(name, mode == "compact", popularity)
-            times[mode], model = _best_of(lambda: factory().fit(sessions))
-            entry = payload.setdefault(name, {})
-            entry[f"{mode}_seconds"] = round(times[mode], 4)
-            entry[f"{mode}_nodes"] = model.node_count
-        node_total += times["node"]
-        compact_total += times["compact"]
-        payload[name]["speedup"] = round(times["node"] / times["compact"], 2)
-        print(
-            f"{name}: node {times['node']:.4f}s compact "
-            f"{times['compact']:.4f}s speedup {payload[name]['speedup']}x"
-        )
-    aggregate = node_total / compact_total
-    payload["aggregate_speedup"] = round(aggregate, 2)
-    _update_bench_json("build", payload)
-    print(f"aggregate speedup {aggregate:.2f}x")
-    if bench_scale() >= 1.0:
-        assert aggregate >= 2.0
-        assert payload["standard"]["speedup"] >= 2.0
-        assert payload["lrs"]["speedup"] >= 2.0
-    else:
-        assert aggregate >= 1.2
-    for name in ("standard", "lrs", "pb", "markov1"):
-        assert payload[name]["node_nodes"] == payload[name]["compact_nodes"]
-
-
 def test_kernel_incremental_prediction():
     """PredictionCursor vs per-click batch predict on the PB model."""
     lab = get_lab("nasa-like", 6)
@@ -243,54 +180,3 @@ def test_kernel_incremental_prediction():
     # The cursor must never regress the batch path; the win grows with
     # context length, so at bench scales it is a modest margin.
     assert speedup >= 0.85
-
-
-def test_kernel_memory_footprint():
-    """Retained model memory, compact vs TrieNode, via child processes.
-
-    tracemalloc numbers are the assertion basis everywhere (deterministic
-    allocator-level accounting); RSS deltas are only trustworthy at full
-    scale, where the model dwarfs page-granularity noise.
-
-    The >=40% floor applies to standard PPM, the storage-heavy model the
-    paper measures space against.  PB-PPM's pruned trie is small by
-    design, so the kernel's fixed overheads (symbol table, child map)
-    weigh proportionally more — it gets a looser floor.
-    """
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    payload = {}
-    floors = {"standard": 0.40, "pb": 0.20}
-    for name in ("standard", "pb"):
-        readings = {}
-        for mode in ("node", "compact"):
-            out = subprocess.run(
-                [sys.executable, str(REPO_ROOT / "benchmarks" / "memory_probe.py"), name, mode],
-                capture_output=True,
-                text=True,
-                check=True,
-                env=env,
-            )
-            readings[mode] = json.loads(out.stdout.strip().splitlines()[-1])
-        assert readings["node"]["node_count"] == readings["compact"]["node_count"]
-        traced_node = readings["node"]["traced_retained_kb"]
-        traced_compact = readings["compact"]["traced_retained_kb"]
-        traced_reduction = 1.0 - traced_compact / traced_node
-        rss_node = readings["node"]["retained_kb"]
-        rss_compact = readings["compact"]["retained_kb"]
-        payload[name] = {
-            "node": readings["node"],
-            "compact": readings["compact"],
-            "traced_retained_reduction": round(traced_reduction, 3),
-        }
-        if bench_scale() >= 1.0 and rss_node > 0:
-            payload[name]["rss_retained_reduction"] = round(
-                1.0 - rss_compact / rss_node, 3
-            )
-        print(
-            f"{name}: traced retained {traced_node}KB -> {traced_compact}KB "
-            f"({traced_reduction:.1%} less), RSS {rss_node}KB -> {rss_compact}KB"
-        )
-        assert traced_reduction >= floors[name]
-        if bench_scale() >= 1.0:
-            assert 1.0 - rss_compact / rss_node >= floors[name]
-    _update_bench_json("memory", payload)

@@ -1,30 +1,16 @@
-"""Child-process memory probe for the compact-kernel benchmarks.
+"""RSS helpers for the child-process memory probes.
 
-Run as ``python benchmarks/memory_probe.py <model> <node|compact>``; the
-process builds the requested model representation on the lab's training
-sessions and prints one JSON line of memory readings:
-
-* ``retained_kb`` — VmRSS growth across the build (model storage as the
-  OS bills it), measured without tracemalloc so the tracer's own
-  bookkeeping cannot distort it;
-* ``hwm_delta_kb`` — VmHWM (peak RSS) growth across the build;
-* ``traced_peak_kb`` / ``traced_retained_kb`` — tracemalloc readings of
-  a second, instrumented build: deterministic allocator-level numbers
-  that stay meaningful at smoke scales where RSS granularity drowns the
-  signal.
-
-A child process per representation keeps the measurements independent:
-nothing of the node build's heap can be recycled into the compact
-build's, or vice versa.
+``sampling_probe.py`` and ``workload_probe.py`` each run one measured
+workload in a fresh process and read the process's own memory through
+these two helpers: :func:`trim_heap` hands freed arena pages back to the
+OS so VmRSS reflects live data, and :func:`rss_kb` reads one
+``/proc/self/status`` field.
 """
 
 from __future__ import annotations
 
 import ctypes
 import gc
-import json
-import sys
-import tracemalloc
 
 
 def trim_heap() -> None:
@@ -42,62 +28,3 @@ def rss_kb(field: str = "VmRSS") -> int:
             if line.startswith(field + ":"):
                 return int(line.split()[1])
     return 0
-
-
-def build(model_name: str, compact: bool, sessions, popularity):
-    if model_name == "standard":
-        from repro.core.standard import StandardPPM
-
-        return StandardPPM(compact=compact).fit(sessions)
-    if model_name == "pb":
-        from repro.core.pb import PopularityBasedPPM
-
-        return PopularityBasedPPM(popularity, compact=compact).fit(sessions)
-    raise SystemExit(f"unknown model: {model_name}")
-
-
-def main(model_name: str, mode: str) -> None:
-    from repro.experiments.lab import get_lab
-
-    compact = mode == "compact"
-    lab = get_lab("nasa-like", 6)
-    sessions = lab.split(5).train_sessions
-    for session in sessions:  # warm the url cache outside the measurement
-        _ = session.urls
-    popularity = lab.popularity(5) if model_name == "pb" else None
-
-    trim_heap()
-    before = rss_kb()
-    hwm_before = rss_kb("VmHWM")
-    model = build(model_name, compact, sessions, popularity)
-    trim_heap()
-    retained = rss_kb() - before
-    hwm_delta = rss_kb("VmHWM") - hwm_before
-    node_count = model.node_count
-    del model
-    trim_heap()
-
-    tracemalloc.start()
-    model = build(model_name, compact, sessions, popularity)
-    gc.collect()
-    traced_retained, traced_peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    del model
-
-    print(
-        json.dumps(
-            {
-                "model": model_name,
-                "mode": mode,
-                "node_count": node_count,
-                "retained_kb": retained,
-                "hwm_delta_kb": hwm_delta,
-                "traced_peak_kb": traced_peak // 1024,
-                "traced_retained_kb": traced_retained // 1024,
-            }
-        )
-    )
-
-
-if __name__ == "__main__":
-    main(sys.argv[1], sys.argv[2])

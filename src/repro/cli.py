@@ -104,6 +104,19 @@ def _scale_value(text: str) -> float:
     return value
 
 
+def _threshold_value(text: str) -> float:
+    """argparse type for ``--threshold``: a probability in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"threshold must be a number, got {text!r}"
+        ) from None
+    if not 0.0 <= value <= 1.0:  # also refuses nan and inf
+        raise argparse.ArgumentTypeError(f"threshold out of [0, 1]: {text}")
+    return value
+
+
 def _rate_value(text: str) -> float:
     """argparse type for ``--sample-rate``: a fraction in (0, 1]."""
     try:
@@ -437,7 +450,7 @@ def _build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--days", type=int, default=5)
     predict.add_argument("--seed", type=_seed_value, default=7)
     predict.add_argument("--scale", type=_scale_value, default=1.0)
-    predict.add_argument("--threshold", type=float, default=0.25)
+    predict.add_argument("--threshold", type=_threshold_value, default=0.25)
 
     serve = sub.add_parser(
         "serve", help="run the online prefetch prediction server"
@@ -561,7 +574,7 @@ def _build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--connections", type=int, default=8)
     loadgen.add_argument("--mode", choices=("combined", "paired"), default="combined")
     loadgen.add_argument("--max-events", type=int, default=None)
-    loadgen.add_argument("--threshold", type=float, default=0.25)
+    loadgen.add_argument("--threshold", type=_threshold_value, default=0.25)
     loadgen.add_argument(
         "--refresh-mid-run",
         action="store_true",

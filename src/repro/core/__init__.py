@@ -3,14 +3,14 @@
 * :mod:`repro.core.popularity` — relative popularity and the log10 grade
   ladder of Section 3.1;
 * :mod:`repro.core.node` — the Markov-prediction-tree node;
-* :mod:`repro.core.base` — the shared model interface and trie machinery;
+* :mod:`repro.core.base` — the shared model interface over the compact
+  store and its compiled prediction table;
 * :mod:`repro.core.standard` — the standard PPM baseline (Fig. 1 left);
 * :mod:`repro.core.lrs` — the LRS-PPM baseline after Pitkow & Pirolli;
 * :mod:`repro.core.pb` — popularity-based PPM, the paper's contribution
   (Fig. 1 right);
-* :mod:`repro.core.pruning` — the two post-build space optimisations;
-* :mod:`repro.core.prediction` — longest-match prediction, batch and
-  incremental (:class:`PredictionCursor`), over both representations;
+* :mod:`repro.core.prediction` — longest-match prediction through the
+  compiled table, batch and incremental (:class:`PredictionCursor`);
 * :mod:`repro.core.stats` — node counts, path enumeration, utilisation;
 * :mod:`repro.core.extras` — related-work predictors used in ablations.
 """
@@ -21,16 +21,7 @@ from repro.core.base import PPMModel
 from repro.core.standard import StandardPPM
 from repro.core.lrs import LRSPPM, mine_longest_repeating_subsequences
 from repro.core.pb import PopularityBasedPPM
-from repro.core.prediction import (
-    Prediction,
-    PredictionCursor,
-    clears_threshold,
-    predict_from_context,
-)
-from repro.core.pruning import (
-    prune_by_absolute_count,
-    prune_by_relative_probability,
-)
+from repro.core.prediction import Prediction, PredictionCursor, clears_threshold
 from repro.core.serialize import (
     dump_model,
     dumps_model,
@@ -66,9 +57,6 @@ __all__ = [
     "Prediction",
     "PredictionCursor",
     "clears_threshold",
-    "predict_from_context",
-    "prune_by_absolute_count",
-    "prune_by_relative_probability",
     "dump_model",
     "dumps_model",
     "load_model",

@@ -35,18 +35,11 @@ class FirstOrderMarkov(PPMModel):
     supports_incremental = True
 
     def _build(self, sessions: list[Session]) -> None:
-        for session in sessions:
-            urls = session.urls
-            for start in range(len(urls)):
-                self.insert_path(urls[start : start + 2])
-
-    def _build_compact(self, sessions: list[Session]) -> bool:
         sequences, weights = dedup_sequences([s.urls for s in sessions])
         intern = self._symbols.intern_sequence
         self._store = build_ngram_trie(
             [intern(seq) for seq in sequences], max_height=2, weights=weights
         )
-        return True
 
 
 class TopNPush(PPMModel):
@@ -72,8 +65,8 @@ class TopNPush(PPMModel):
         self._push_set = [
             (url, table.relative_popularity(url)) for url in table.top(self.n)
         ]
-        # Materialise the push set as height-1 branches so node_count and
-        # the shared statistics helpers keep working.
+        # Store the push set as height-1 branches so node_count, usage
+        # marking and the shared statistics helpers keep working.
         for url, _ in self._push_set:
             self.insert_path((url,), weight=table.count(url))
 
@@ -93,9 +86,6 @@ class TopNPush(PPMModel):
             and (not context or url != context[-1])
         ]
         if mark_used:
-            for prediction in predictions:
-                node = self.roots.get(prediction.url)
-                if node is not None:
-                    node.used = True
+            self.mark_used_paths([(p.url,) for p in predictions])
         predictions.sort(key=lambda p: (-p.probability, p.url))
         return predictions

@@ -9,11 +9,12 @@ paste into multiple sub-branches starting from different URLs" — the node
 duplication the paper identifies as the reason LRS space grows with the
 number of training days.
 
-Implementation: an Apriori-style level-wise trie build.  Pass *k* counts
-the occurrences of length-*k* subsequences whose length-(k-1) prefix is
-already frequent, so subsequences that occur once are never materialised
-beyond one trie level.  Because every start position of every session is
-counted, the resulting frequent-subsequence trie already contains every
+Implementation: the frequent-subsequence trie — every subsequence
+occurring at least ``min_repeats`` times, counted from every start
+position of every session.  An occurrence count only falls under
+extension, so the Apriori level-wise build equals the bulk n-gram
+kernel's per-level count filter (:func:`repro.kernel.bulk.build_ngram_trie`).
+Because every start position is counted, the trie already contains every
 suffix of every LRS as a root path — it *is* the prediction tree.
 """
 
@@ -21,83 +22,10 @@ from __future__ import annotations
 
 from repro import params
 from repro.core.base import PPMModel
-from repro.core.node import TrieNode
+from repro.core.stats import leaf_paths
 from repro.kernel.bulk import build_ngram_trie, dedup_sequences
+from repro.kernel.symbols import SymbolTable
 from repro.trace.sessions import Session
-
-
-def _prune_level(
-    roots: dict[str, TrieNode], level: int, min_repeats: int
-) -> bool:
-    """Drop infrequent children of every depth-``level`` node.
-
-    Returns True when at least one depth-``level+1`` node survives, i.e.
-    the next extension pass has work to do.
-    """
-    survivors = False
-
-    def visit(node: TrieNode, depth: int) -> None:
-        nonlocal survivors
-        if depth == level:
-            for url in list(node.children):
-                if node.children[url].count < min_repeats:
-                    del node.children[url]
-            if node.children:
-                survivors = True
-        else:
-            for child in node.children.values():
-                visit(child, depth + 1)
-
-    for root in roots.values():
-        visit(root, 1)
-    return survivors
-
-
-def _frequent_subsequence_forest(
-    sequences: list[tuple[str, ...]],
-    *,
-    min_repeats: int = params.LRS_MIN_REPEATS,
-    max_length: int | None = None,
-) -> dict[str, TrieNode]:
-    """Build the trie of subsequences occurring at least ``min_repeats`` times.
-
-    Level-wise growth: level 1 counts single URLs; level *k+1* counts the
-    one-URL extensions of frequent depth-*k* paths only.  Nodes that fail
-    the repeat threshold at their level are pruned before the next pass.
-    """
-    roots: dict[str, TrieNode] = {}
-    for seq in sequences:
-        for url in seq:
-            node = roots.get(url)
-            if node is None:
-                node = TrieNode(url)
-                roots[url] = node
-            node.count += 1
-    roots = {u: n for u, n in roots.items() if n.count >= min_repeats}
-
-    level = 1
-    while roots and (max_length is None or level < max_length):
-        extended = False
-        for seq in sequences:
-            for start in range(len(seq) - level):
-                node = roots.get(seq[start])
-                if node is None:
-                    continue
-                for offset in range(1, level):
-                    node = node.child(seq[start + offset])
-                    if node is None:
-                        break
-                if node is None:
-                    continue
-                child = node.ensure_child(seq[start + level])
-                child.count += 1
-                extended = True
-        if not extended:
-            break
-        if not _prune_level(roots, level, min_repeats):
-            break
-        level += 1
-    return roots
 
 
 def mine_longest_repeating_subsequences(
@@ -110,23 +38,16 @@ def mine_longest_repeating_subsequences(
 
     A pattern is returned when it repeats (``>= min_repeats`` occurrences)
     and no single-URL extension of it still repeats — i.e. it is a
-    root-to-leaf path of the frequent-subsequence trie.
+    root-to-leaf path of the frequent-subsequence trie.  Patterns come
+    sorted.
     """
-    roots = _frequent_subsequence_forest(
-        sequences, min_repeats=min_repeats, max_length=max_length
+    symbols = SymbolTable()
+    store = build_ngram_trie(
+        [symbols.intern_sequence(seq) for seq in sequences],
+        max_height=max_length,
+        min_count=min_repeats,
     )
-    patterns: list[tuple[str, ...]] = []
-
-    def descend(node: TrieNode, prefix: tuple[str, ...]) -> None:
-        if node.is_leaf:
-            patterns.append(prefix)
-            return
-        for url in sorted(node.children):
-            descend(node.children[url], prefix + (url,))
-
-    for url in sorted(roots):
-        descend(roots[url], (url,))
-    return patterns
+    return list(leaf_paths(store.to_node_forest(symbols)))
 
 
 class LRSPPM(PPMModel):
@@ -149,21 +70,14 @@ class LRSPPM(PPMModel):
         *,
         min_repeats: int = params.LRS_MIN_REPEATS,
         max_length: int | None = None,
-        compact: bool | None = None,
     ) -> None:
-        super().__init__(compact=compact)
+        super().__init__()
         if min_repeats < 2:
             raise ValueError(f"min_repeats must be >= 2, got {min_repeats}")
         self.min_repeats = min_repeats
         self.max_length = max_length
 
     def _build(self, sessions: list[Session]) -> None:
-        sequences = [session.urls for session in sessions]
-        self._roots = _frequent_subsequence_forest(
-            sequences, min_repeats=self.min_repeats, max_length=self.max_length
-        )
-
-    def _build_compact(self, sessions: list[Session]) -> bool:
         # The Apriori level build keeps exactly the subsequences occurring
         # >= min_repeats times: occurrence counts only fall under
         # extension, so the bulk n-gram kernel's count filter builds the
@@ -176,21 +90,8 @@ class LRSPPM(PPMModel):
             min_count=self.min_repeats,
             weights=weights,
         )
-        return True
 
     def patterns(self) -> list[tuple[str, ...]]:
         """The fitted model's LRS patterns (root-to-leaf paths)."""
         self._require_fitted()
-        result: list[tuple[str, ...]] = []
-
-        def descend(node: TrieNode, prefix: tuple[str, ...]) -> None:
-            if node.is_leaf:
-                result.append(prefix)
-                return
-            for url in sorted(node.children):
-                descend(node.children[url], prefix + (url,))
-
-        roots = self.roots
-        for url in sorted(roots):
-            descend(roots[url], (url,))
-        return result
+        return list(leaf_paths(self.to_node_forest()))

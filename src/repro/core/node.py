@@ -1,4 +1,9 @@
-"""The Markov-prediction-tree node shared by all three PPM models."""
+"""The Markov-prediction-tree node: the tree view of every PPM model.
+
+Models store their forest in :class:`~repro.kernel.compact.CompactTrie`;
+``model.roots`` / ``model.to_node_forest()`` hand out a forest of these
+nodes for serialisation, rendering and inspection.
+"""
 
 from __future__ import annotations
 
@@ -21,8 +26,8 @@ class TrieNode:
         Only populated on PB-PPM *root* nodes: links to duplicated popular
         nodes deeper in the root's branch (paper Section 3.4, rule 3).
     used:
-        Set by the prediction engine when the node participates in a
-        prediction; drives the path-utilisation metric of Figure 2.
+        Whether the node participated in a prediction; drives the
+        path-utilisation metric of Figure 2.
     """
 
     __slots__ = ("url", "count", "children", "special_links", "used")

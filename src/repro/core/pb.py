@@ -34,17 +34,8 @@ from typing import Sequence
 
 from repro import params
 from repro.core.base import PPMModel
-from repro.core.node import TrieNode
 from repro.core.popularity import PopularityTable
-from repro.core.prediction import (
-    Prediction,
-    PredictionCursor,
-    clears_threshold,
-    compact_suffix_matches,
-    iter_suffix_matches,
-    table_suffix_matches,
-)
-from repro.core.pruning import prune_by_absolute_count, prune_by_relative_probability
+from repro.core.prediction import Prediction, PredictionCursor, suffix_matches
 from repro.kernel.bulk import build_branch_trie, dedup_sequences, symbol_grades
 from repro.kernel.prune import prune_dense
 from repro.trace.sessions import Session
@@ -92,9 +83,8 @@ class PopularityBasedPPM(PPMModel):
         prune_relative_probability: float | None = params.PRUNE_RELATIVE_PROBABILITY,
         prune_absolute_count: int | None = None,
         special_link_threshold: float = params.SPECIAL_LINK_THRESHOLD,
-        compact: bool | None = None,
     ) -> None:
-        super().__init__(compact=compact)
+        super().__init__()
         if len(grade_heights) != popularity.max_grade + 1:
             raise ValueError(
                 f"grade_heights needs {popularity.max_grade + 1} entries "
@@ -127,58 +117,16 @@ class PopularityBasedPPM(PPMModel):
             self.grade_heights[self.popularity.grade(url)], self.absolute_max_height
         )
 
-    def _root_positions(self, urls: Sequence[str]) -> list[int]:
-        """Rule 4: positions opening a new root (start, or grade rises)."""
-        grade = self.popularity.grade
-        return [
-            i
-            for i in range(len(urls))
-            if i == 0 or grade(urls[i]) > grade(urls[i - 1])
-        ]
-
-    def _insert_branch(self, urls: Sequence[str]) -> None:
-        """Insert one branch and wire its special links (rules 1-3)."""
-        head = urls[0]
-        height = self.branch_height_for(head)
-        path = urls[:height]
-        root = self._roots.get(head)
-        if root is None:
-            root = TrieNode(head)
-            self._roots[head] = root
-        root.count += 1
-        node = root
-        head_grade = self.popularity.grade(head)
-        for depth, url in enumerate(path[1:], start=2):
-            node = node.ensure_child(url)
-            node.count += 1
-            if depth >= 3:  # not immediately following the head (rule 3)
-                grade = self.popularity.grade(url)
-                if grade > head_grade or grade == self.popularity.max_grade:
-                    if node not in root.special_links:
-                        root.special_links.append(node)
-
-    def _build(self, sessions: list[Session]) -> None:
-        for session in sessions:
-            urls = session.urls
-            for position in self._root_positions(urls):
-                self._insert_branch(urls[position:])
-        if self.prune_relative_probability is not None:
-            prune_by_relative_probability(
-                self._roots, cutoff=self.prune_relative_probability
-            )
-        if self.prune_absolute_count is not None:
-            prune_by_absolute_count(self._roots, max_count=self.prune_absolute_count)
-
-    # -- compact construction ------------------------------------------------
-
-    def _insert_branch_compact(
+    def _insert_interned_branch(
         self, ids: Sequence[int], start: int, grades: Sequence[int]
     ) -> None:
-        """Interned twin of :meth:`_insert_branch` for the branch at ``start``.
+        """Insert the branch of interned ``ids`` opening at ``start``.
 
-        ``grades`` carries the popularity grade of each position of
-        ``ids``; ``offset >= 2`` below is the node path's ``depth >= 3``
-        (one past the URL immediately following the head).
+        Rules 1-3 for one branch: grade-scaled height, counts along the
+        path, and a special link from the root to every node that is not
+        immediately after the head (``position - start >= 2``) and is
+        more popular than the head or carries the top grade.  ``grades``
+        carries the popularity grade of each position of ``ids``.
         """
         store = self._store
         head_grade = grades[start]
@@ -201,7 +149,7 @@ class PopularityBasedPPM(PPMModel):
                     elif idx not in links:
                         links.append(idx)
 
-    def _insert_sessions_compact(self, sessions: list[Session]) -> None:
+    def _insert_sessions(self, sessions: list[Session]) -> None:
         """Intern and insert every session's branches (rules 1-4)."""
         symbols = self._symbols
         intern = symbols.intern_sequence
@@ -216,9 +164,9 @@ class PopularityBasedPPM(PPMModel):
             grades = [sym_grades[sym] for sym in ids]
             for position in range(len(ids)):
                 if position == 0 or grades[position] > grades[position - 1]:
-                    self._insert_branch_compact(ids, position, grades)
+                    self._insert_interned_branch(ids, position, grades)
 
-    def _build_compact(self, sessions: list[Session]) -> bool:
+    def _build(self, sessions: list[Session]) -> None:
         # Bulk-build rules 1-4 over deduplicated sessions; duplicate
         # sessions repeat no branch and create no new special link, so
         # first-seen order plus weights reproduces the per-click build,
@@ -241,22 +189,14 @@ class PopularityBasedPPM(PPMModel):
             cutoff=self.prune_relative_probability,
             max_count=self.prune_absolute_count,
         )
-        return True
 
     def fold_sessions(self, sessions: list[Session]) -> None:
         """Fold new sessions in under the existing grading (no re-pruning).
 
         The cheap between-rebuilds update :func:`repro.core.online.update_model`
-        applies; works on either representation.
+        applies.
         """
-        if self._store is not None:
-            self._insert_sessions_compact(sessions)
-            self._mutations += 1
-            return
-        for session in sessions:
-            urls = session.urls
-            for position in self._root_positions(urls):
-                self._insert_branch(urls[position:])
+        self._insert_sessions(sessions)
         self._mutations += 1
 
     # -- prediction ----------------------------------------------------------
@@ -293,20 +233,9 @@ class PopularityBasedPPM(PPMModel):
         del escape
         if not context:
             return []
-        if self._store is not None:
-            table = self._table_for(threshold)
-            if table is not None:
-                if self._store.has_child_map:
-                    matches = compact_suffix_matches(
-                        self._store, self._symbols, context
-                    )
-                else:
-                    matches = table_suffix_matches(table, self._symbols, context)
-                return self._predict_table(matches, context[-1], mark_used, table)
-            matches = compact_suffix_matches(self._store, self._symbols, context)
-            return self._predict_compact(matches, context[-1], threshold, mark_used)
-        matches = iter_suffix_matches(self._roots, context)
-        return self._predict_nodes(matches, context[-1], threshold, mark_used)
+        table = self._compiled_table()
+        matches = suffix_matches(self._store, table, self._symbols, context)
+        return self._predict(matches, context[-1], threshold, mark_used, table)
 
     def predict_cursor(
         self,
@@ -330,102 +259,34 @@ class PopularityBasedPPM(PPMModel):
         last_url = cursor.last_url
         if last_url is None:
             return []
-        matches = cursor.matches()
-        if self._store is not None:
-            table = self._table_for(threshold)
-            if table is not None:
-                return self._predict_table(matches, last_url, mark_used, table)
-            return self._predict_compact(matches, last_url, threshold, mark_used)
-        return self._predict_nodes(matches, last_url, threshold, mark_used)
+        return self._predict(
+            cursor.matches(), last_url, threshold, mark_used, self._compiled_table()
+        )
 
-    def _predict_nodes(
-        self,
-        matches: "Sequence[tuple[TrieNode, int, list[TrieNode]]]",
-        last_url: str,
-        threshold: float,
-        mark_used: bool,
-    ) -> list[Prediction]:
-        predictions: dict[str, Prediction] = {}
-        for node, order, path in matches:
-            if node.count == 0:
-                continue
-            for url in sorted(node.children):
-                child = node.children[url]
-                probability = child.count / node.count
-                if clears_threshold(probability, threshold) and url not in predictions:
-                    predictions[url] = Prediction(
-                        url=url, probability=probability, order=order
-                    )
-                    if mark_used:
-                        for visited in path:
-                            visited.used = True
-                        child.used = True
-        root = self._roots.get(last_url)
-        if root is not None and root.count > 0 and root.special_links:
-            aggregated: dict[str, int] = {}
-            for linked in root.special_links:
-                aggregated[linked.url] = aggregated.get(linked.url, 0) + linked.count
-            fired: set[str] = set()
-            for url in sorted(aggregated):
-                probability = min(1.0, aggregated[url] / root.count)
-                if (
-                    clears_threshold(probability, self.special_link_threshold)
-                    and url not in predictions
-                ):
-                    predictions[url] = Prediction(
-                        url=url,
-                        probability=probability,
-                        order=0,
-                        source="special_link",
-                    )
-                    fired.add(url)
-            if mark_used and fired:
-                root.used = True
-                for linked in root.special_links:
-                    if linked.url in fired:
-                        linked.used = True
-        result = list(predictions.values())
-        result.sort(key=lambda p: (-p.probability, p.url))
-        return result
-
-    def _table_for(self, threshold: float):
-        """The compiled table, if it answers this exact prediction request.
-
-        PB predictions depend on both thresholds, so beyond the base
-        ``covers`` check the table must have been compiled at this model's
-        special-link threshold; any mismatch falls back to the uncompiled
-        compact path.
-        """
-        table = self._compiled_table()
-        if (
-            table is not None
-            and table.covers(threshold)
-            and table.special_threshold == self.special_link_threshold
-        ):
-            return table
-        return None
-
-    def _predict_table(
+    def _predict(
         self,
         matches: "Sequence[tuple[int, int, list[int]]]",
         last_url: str,
+        threshold: float,
         mark_used: bool,
         table,
     ) -> list[Prediction]:
-        """Compiled twin of :meth:`_predict_compact`.
+        """Merge every matching level's row, then the special-link row.
 
-        Each level's qualifying candidates were filtered and sorted at
-        compile time, so the merge is a dict-dedup over precomputed row
-        slices; the special-link step is one root probe plus its
-        precomputed row.  The per-URL winner, the marked node set and the
-        final ordering are identical to the uncompiled paths.
+        Levels are consumed longest first and the first level to offer a
+        URL wins it.  Each level's row is cut at ``threshold`` and the
+        root's special row at :attr:`special_link_threshold`; both were
+        sorted at compile time, so the merge is a dict-dedup over cached
+        row slices.  A level marks its match path used only when it
+        contributes a prediction; a special row marks the root and the
+        linked duplicates of the URLs it contributes.
         """
         store = self._store
         used = store.used
         url_of = self._symbols.url
         predictions: dict[str, Prediction] = {}
         for idx, order, path in matches:
-            row, children = table.context_row(idx, order, url_of)
+            row, children = table.context_row(idx, order, threshold, url_of)
             path_marked = False
             for prediction, child in zip(row, children):
                 if prediction.url not in predictions:
@@ -444,81 +305,15 @@ class PopularityBasedPPM(PPMModel):
         else:
             root = table.root_index(last_sym)
         if root is not None:
-            row, groups = table.special_row(root, url_of)
+            row, groups = table.special_row(
+                root, self.special_link_threshold, url_of
+            )
             for prediction, group in zip(row, groups):
                 if prediction.url not in predictions:
                     predictions[prediction.url] = prediction
                     if mark_used:
                         used[root] = 1
                         for linked in group:
-                            used[linked] = 1
-        result = list(predictions.values())
-        result.sort(key=lambda p: (-p.probability, p.url))
-        return result
-
-    def _predict_compact(
-        self,
-        matches: "Sequence[tuple[int, int, list[int]]]",
-        last_url: str,
-        threshold: float,
-        mark_used: bool,
-    ) -> list[Prediction]:
-        """Index twin of :meth:`_predict_nodes` over the compact store.
-
-        Child enumeration order differs from the sorted node walk, but
-        URLs are unique within a node, levels are consumed longest first
-        and the result is re-sorted, so the predictions — and the set of
-        nodes marked used — are identical.
-        """
-        store = self._store
-        symbols = self._symbols
-        counts = store.counts
-        used = store.used
-        url_of = symbols.url
-        predictions: dict[str, Prediction] = {}
-        for idx, order, path in matches:
-            total = counts[idx]
-            if total == 0:
-                continue
-            for sym, child in store.iter_children(idx):
-                probability = counts[child] / total
-                url = url_of(sym)
-                if clears_threshold(probability, threshold) and url not in predictions:
-                    predictions[url] = Prediction(
-                        url=url, probability=probability, order=order
-                    )
-                    if mark_used:
-                        for visited in path:
-                            used[visited] = 1
-                        used[child] = 1
-        last_sym = symbols.get(last_url)
-        root = store.roots.get(last_sym) if last_sym is not None else None
-        if root is not None and counts[root] > 0:
-            links = store.special_links.get(root)
-            if links:
-                syms = store.syms
-                aggregated: dict[str, int] = {}
-                for linked in links:
-                    url = url_of(syms[linked])
-                    aggregated[url] = aggregated.get(url, 0) + counts[linked]
-                fired: set[str] = set()
-                for url in aggregated:
-                    probability = min(1.0, aggregated[url] / counts[root])
-                    if (
-                        clears_threshold(probability, self.special_link_threshold)
-                        and url not in predictions
-                    ):
-                        predictions[url] = Prediction(
-                            url=url,
-                            probability=probability,
-                            order=0,
-                            source="special_link",
-                        )
-                        fired.add(url)
-                if mark_used and fired:
-                    used[root] = 1
-                    for linked in links:
-                        if url_of(syms[linked]) in fired:
                             used[linked] = 1
         result = list(predictions.values())
         result.sort(key=lambda p: (-p.probability, p.url))

@@ -11,24 +11,22 @@ PB-PPM adds *special-link* predictions on top: when the current click is a
 root, the duplicated popular nodes linked from that root are predicted as
 well (:meth:`repro.core.pb.PopularityBasedPPM.predict` wires this in).
 
-The module speaks both tree representations: the classic
-:class:`~repro.core.node.TrieNode` forest and the array-backed
-:class:`~repro.kernel.compact.CompactTrie` store; the ``*_compact_*``
-functions are index-for-node translations of their node twins and return
-identical predictions.  :class:`PredictionCursor` adds the incremental
-path: instead of rematching the full context on every click, it carries
-the previous click's suffix-match states forward and extends each by one
-URL, which is what the replay engine uses per simulated request.
+Every model predicts the same way: suffix matches are found in the
+array-backed :class:`~repro.kernel.compact.CompactTrie` store, and each
+matched node's candidates come from the model's compiled
+:class:`~repro.kernel.predict_table.PredictTable`, cut to the request's
+threshold.  :class:`PredictionCursor` adds the incremental path: instead
+of rematching the full context on every click, it carries the previous
+click's suffix-match states forward and extends each by one URL, which
+is what the replay engine uses per simulated request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro import params
-from repro.core.node import TrieNode
-
 from repro.kernel.compact import KEY_SHIFT as _KEY_SHIFT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -45,13 +43,12 @@ def clears_threshold(
 ) -> bool:
     """Whether a conditional probability qualifies against a threshold.
 
-    Every prediction path — node-based, compact, batch or incremental —
-    funnels its threshold comparison through here so a borderline value
-    (e.g. an exact 0.25) can never qualify on one path and fail on
-    another.  The epsilon admits probabilities within ``epsilon`` *below*
-    the threshold; it is far too small to flip any exact ratio of integer
-    counts, so the guarded comparison is identical to ``>=`` on the exact
-    arithmetic both tree representations perform today.
+    The compiled table's per-row cut and the Top-N push apply this exact
+    rule, so a borderline value (e.g. an exact 0.25) qualifies the same
+    way everywhere.  The epsilon admits probabilities within ``epsilon``
+    *below* the threshold; it is far too small to flip any exact ratio of
+    integer counts, so the guarded comparison is identical to ``>=`` on
+    the exact count arithmetic.
     """
     return probability + epsilon >= threshold
 
@@ -80,146 +77,8 @@ class Prediction:
     source: str = "context"
 
 
-def _prediction_sort_key(prediction: Prediction) -> tuple[float, str]:
-    return (-prediction.probability, prediction.url)
-
-
 # --------------------------------------------------------------------------
-# Node-forest matching
-# --------------------------------------------------------------------------
-
-
-def iter_suffix_matches(
-    roots: Mapping[str, TrieNode], context: Sequence[str]
-) -> "list[tuple[TrieNode, int, list[TrieNode]]]":
-    """All full-suffix matches of ``context`` in the tree, longest first.
-
-    Each element is ``(matched_node, suffix_length, nodes_on_match_path)``.
-    PPM's escape mechanism consumes these in order: the longest matching
-    context that actually yields a prediction wins.
-    """
-    matches: list[tuple[TrieNode, int, list[TrieNode]]] = []
-    for start in range(len(context)):
-        suffix = context[start:]
-        node = roots.get(suffix[0])
-        if node is None:
-            continue
-        path = [node]
-        matched = True
-        for url in suffix[1:]:
-            nxt = node.child(url)
-            if nxt is None:
-                matched = False
-                break
-            node = nxt
-            path.append(node)
-        if matched:
-            matches.append((node, len(suffix), path))
-    return matches
-
-
-def match_longest_suffix(
-    roots: Mapping[str, TrieNode], context: Sequence[str]
-) -> tuple[TrieNode | None, int, list[TrieNode]]:
-    """Find the deepest tree node reachable by a suffix of ``context``.
-
-    Tries the longest suffix first and shortens until a full match exists.
-    Returns ``(matched_node, suffix_length, nodes_on_match_path)``; the node
-    is None when not even the last click is a root.
-    """
-    matches = iter_suffix_matches(roots, context)
-    if not matches:
-        return None, 0, []
-    return matches[0]
-
-
-def predict_from_matches(
-    matches: "Sequence[tuple[TrieNode, int, list[TrieNode]]]",
-    *,
-    threshold: float = params.PREDICTION_PROBABILITY_THRESHOLD,
-    mark_used: bool = True,
-    escape: bool = False,
-) -> list[Prediction]:
-    """Prediction step over precomputed suffix matches (longest first).
-
-    Factored out of :func:`predict_from_context` so the incremental
-    cursor, which maintains the match list itself, shares the exact
-    qualification, marking and ordering logic of the batch path.
-    """
-    for node, order, path in matches:
-        if node.count == 0:
-            if escape:
-                continue
-            return []
-        predictions: list[Prediction] = []
-        marked: list[TrieNode] = []
-        for url in node.children:
-            child = node.children[url]
-            probability = child.count / node.count
-            if clears_threshold(probability, threshold):
-                predictions.append(
-                    Prediction(url=url, probability=probability, order=order)
-                )
-                marked.append(child)
-        if not predictions and escape:
-            continue
-        if mark_used and predictions:
-            for visited in path:
-                visited.used = True
-            for child in marked:
-                child.used = True
-        predictions.sort(key=_prediction_sort_key)
-        return predictions
-    return []
-
-
-def predict_from_context(
-    roots: Mapping[str, TrieNode],
-    context: Sequence[str],
-    *,
-    threshold: float = params.PREDICTION_PROBABILITY_THRESHOLD,
-    mark_used: bool = True,
-    escape: bool = False,
-) -> list[Prediction]:
-    """Longest-match prediction shared by all three models.
-
-    Parameters
-    ----------
-    roots:
-        The tree's root nodes keyed by URL.
-    context:
-        The URLs of the client's current session so far, oldest first.
-    threshold:
-        Minimum conditional probability for a child to be predicted.
-    mark_used:
-        When true, the matched path and the predicted children are marked
-        used, feeding the Figure-2 path-utilisation metric.
-    escape:
-        The paper's models predict from the longest matching context only
-        (``escape=False``, the default): if nothing at that context clears
-        the threshold, no prefetch is issued.  With ``escape=True`` the
-        engine instead falls back to the next-shorter matching context
-        until some prediction qualifies — the escape mechanism of
-        compression-style PPM, offered as an ablation
-        (``benchmarks/bench_ablation_escape.py`` measures its effect).
-
-    Returns
-    -------
-    Predictions sorted by descending probability (ties by URL) so the most
-    confident prefetch is issued first.
-    """
-    if not context:
-        return []
-    return predict_from_matches(
-        iter_suffix_matches(roots, context),
-        threshold=threshold,
-        mark_used=mark_used,
-        escape=escape,
-    )
-
-
-# --------------------------------------------------------------------------
-# Compact-store matching (index-for-node twins of the functions above)
+# Suffix matching
 # --------------------------------------------------------------------------
 
 
@@ -228,10 +87,11 @@ def compact_suffix_matches(
 ) -> "list[tuple[int, int, list[int]]]":
     """All full-suffix matches of ``context`` in a compact store.
 
-    The index-based twin of :func:`iter_suffix_matches`: each element is
-    ``(matched_index, suffix_length, indices_on_match_path)``, longest
-    suffix first.  URLs the symbol table has never seen cannot match by
-    construction, so each is resolved once up front.
+    Each element is ``(matched_index, suffix_length,
+    indices_on_match_path)``, longest suffix first — the order PPM's
+    longest match (and its escape ablation) consumes them in.  URLs the
+    symbol table has never seen cannot match by construction, so each is
+    resolved once up front.
     """
     get_sym = symbols.get
     ids = [get_sym(url) for url in context]
@@ -264,87 +124,13 @@ def compact_suffix_matches(
     return matches
 
 
-def predict_from_compact_matches(
-    store: "CompactTrie",
-    symbols: "SymbolTable",
-    matches: "Sequence[tuple[int, int, list[int]]]",
-    *,
-    threshold: float = params.PREDICTION_PROBABILITY_THRESHOLD,
-    mark_used: bool = True,
-    escape: bool = False,
-) -> list[Prediction]:
-    """Prediction step over compact suffix matches (longest first).
-
-    Same qualification, usage marking and final ordering as
-    :func:`predict_from_matches`; child enumeration order differs (sibling
-    chain instead of dict insertion) but URLs are unique per node and the
-    result is sorted, so the returned predictions are identical.
-    """
-    counts = store.counts
-    used = store.used
-    url_of = symbols.url
-    for idx, order, path in matches:
-        total = counts[idx]
-        if total == 0:
-            if escape:
-                continue
-            return []
-        predictions: list[Prediction] = []
-        marked: list[int] = []
-        for sym, child in store.iter_children(idx):
-            probability = counts[child] / total
-            if clears_threshold(probability, threshold):
-                predictions.append(
-                    Prediction(url=url_of(sym), probability=probability, order=order)
-                )
-                marked.append(child)
-        if not predictions and escape:
-            continue
-        if mark_used and predictions:
-            for visited in path:
-                used[visited] = 1
-            for child in marked:
-                used[child] = 1
-        predictions.sort(key=_prediction_sort_key)
-        return predictions
-    return []
-
-
-def predict_from_compact_context(
-    store: "CompactTrie",
-    symbols: "SymbolTable",
-    context: Sequence[str],
-    *,
-    threshold: float = params.PREDICTION_PROBABILITY_THRESHOLD,
-    mark_used: bool = True,
-    escape: bool = False,
-) -> list[Prediction]:
-    """Batch longest-match prediction over a compact store."""
-    if not context:
-        return []
-    return predict_from_compact_matches(
-        store,
-        symbols,
-        compact_suffix_matches(store, symbols, context),
-        threshold=threshold,
-        mark_used=mark_used,
-        escape=escape,
-    )
-
-
-# --------------------------------------------------------------------------
-# Compiled-table matching (precompiled twins of the compact functions)
-# --------------------------------------------------------------------------
-
-
 def table_suffix_matches(
     table: "PredictTable", symbols: "SymbolTable", context: Sequence[str]
 ) -> "list[tuple[int, int, list[int]]]":
     """All full-suffix matches of ``context`` via a compiled table.
 
     The transition-array twin of :func:`compact_suffix_matches` — same
-    ``(matched_index, suffix_length, indices_on_match_path)`` elements,
-    longest suffix first — for stores whose packed child map was never
+    elements, same order — for stores whose packed child map was never
     built (buffer-mapped serving workers).
     """
     get_sym = symbols.get
@@ -354,30 +140,51 @@ def table_suffix_matches(
     ]
 
 
+def suffix_matches(
+    store: "CompactTrie",
+    table: "PredictTable",
+    symbols: "SymbolTable",
+    context: Sequence[str],
+) -> "list[tuple[int, int, list[int]]]":
+    """Batch suffix matches through whichever index is already built.
+
+    The packed child map when the store has one (in-process models), the
+    table's transition array otherwise (buffer-mapped workers, where
+    building the map would cost an O(n) pass per remap).
+    """
+    if store.has_child_map:
+        return compact_suffix_matches(store, symbols, context)
+    return table_suffix_matches(table, symbols, context)
+
+
 def predict_from_table_matches(
     store: "CompactTrie",
     table: "PredictTable",
     symbols: "SymbolTable",
     matches: "Sequence[tuple[int, int, list[int]]]",
     *,
+    threshold: float = params.PREDICTION_PROBABILITY_THRESHOLD,
     mark_used: bool = True,
     escape: bool = False,
 ) -> list[Prediction]:
-    """Prediction step over suffix matches via a compiled table.
+    """Longest-match prediction over suffix matches (longest first).
 
-    The table twin of :func:`predict_from_compact_matches`: the matched
-    node's candidate row was threshold-filtered and
-    ``(-probability, url)``-sorted at compile time, so qualifying here is
-    slicing the row.  An empty row folds the two batch-path outcomes —
-    zero count and no qualifying child — into one case, which preserves
-    escape semantics exactly (both continue under ``escape``, both end
-    prediction without it).  Callers dispatch only when
-    ``table.covers(threshold)``.
+    The matched node's candidate row is ``(-probability, url)``-sorted at
+    compile time, so qualifying here is cutting the row at ``threshold``.
+    An empty cut folds the two outcomes — zero count and no qualifying
+    child — into one case: both continue to the next-shorter match under
+    ``escape`` and both end prediction without it.
+
+    ``escape`` is the compression-style PPM fallback, offered as an
+    ablation (``benchmarks/bench_ablation_escape.py``); the paper's models
+    predict from the longest matching context only.  With ``mark_used``
+    the matched path and the predicted children are marked used, feeding
+    the Figure-2 path-utilisation metric.
     """
     used = store.used
     url_of = symbols.url
     for idx, order, path in matches:
-        predictions, children = table.context_row(idx, order, url_of)
+        predictions, children = table.context_row(idx, order, threshold, url_of)
         if not predictions:
             if escape:
                 continue
@@ -391,38 +198,6 @@ def predict_from_table_matches(
     return []
 
 
-def predict_from_table_context(
-    store: "CompactTrie",
-    table: "PredictTable",
-    symbols: "SymbolTable",
-    context: Sequence[str],
-    *,
-    mark_used: bool = True,
-    escape: bool = False,
-) -> list[Prediction]:
-    """Batch longest-match prediction via a compiled table.
-
-    Uses the packed child map for matching when the store has one built
-    (in-process models) and the table's transition array otherwise
-    (buffer-mapped workers, where building the map would cost an O(n)
-    pass per remap).
-    """
-    if not context:
-        return []
-    if store.has_child_map:
-        matches = compact_suffix_matches(store, symbols, context)
-    else:
-        matches = table_suffix_matches(table, symbols, context)
-    return predict_from_table_matches(
-        store,
-        table,
-        symbols,
-        matches,
-        mark_used=mark_used,
-        escape=escape,
-    )
-
-
 # --------------------------------------------------------------------------
 # Incremental suffix matching
 # --------------------------------------------------------------------------
@@ -433,7 +208,7 @@ class PredictionCursor:
 
     A cursor follows one client's click stream and maintains, after every
     :meth:`advance`, exactly the suffix-match states a batch
-    :func:`iter_suffix_matches` would compute on the trimmed context —
+    :func:`compact_suffix_matches` would compute on the trimmed context —
     longest first — but derives them from the previous click's states in
     O(active matches) instead of rematching the whole context in O(L²)
     child lookups.  The correspondence is exact because a full suffix
@@ -441,8 +216,7 @@ class PredictionCursor:
     by ``url`` or the single-click suffix ``[url]`` itself.
 
     Staleness: the owning model bumps an internal mutation counter on
-    every structural change (refit, online update, node-forest
-    materialisation).  The cursor snapshots the counter and transparently
+    every structural change (refit, online update).  The cursor snapshots the counter and transparently
     falls back to one batch rematch when it no longer agrees, so online
     updates mid-replay can never leave it pointing at stale or deleted
     state.  Session boundaries are handled by :meth:`reset`.
@@ -459,9 +233,8 @@ class PredictionCursor:
         self._model = model
         self._max_length = max_length
         self._urls: list[str] = []
-        # Each state is (handle, path): a TrieNode and node path in node
-        # mode, an array index and index path in compact mode.  Kept in
-        # decreasing suffix-length order, matching iter_suffix_matches.
+        # Each state is (index, index path) into the model's store, kept
+        # in decreasing suffix-length order like compact_suffix_matches.
         self._states: list[tuple[object, list]] = []
         self._seen = model._mutations
 
@@ -515,8 +288,7 @@ class PredictionCursor:
     def matches(self) -> list:
         """Current suffix matches as ``(handle, order, path)``, longest first.
 
-        Same shape as :func:`iter_suffix_matches` /
-        :func:`compact_suffix_matches` on :attr:`context`.
+        Same shape as :func:`compact_suffix_matches` on :attr:`context`.
         """
         if self._seen != self._model._mutations:
             self._resync()

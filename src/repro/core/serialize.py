@@ -18,7 +18,6 @@ import json
 import struct
 from typing import Any, IO
 
-from repro import params
 from repro.core.base import PPMModel
 from repro.core.extras import FirstOrderMarkov, TopNPush
 from repro.core.lrs import LRSPPM
@@ -124,10 +123,9 @@ def _model_metadata(model: PPMModel) -> dict[str, Any]:
 def dump_model(model: PPMModel) -> dict[str, Any]:
     """Serialise a fitted model to a JSON-compatible dict.
 
-    Works on either forest representation: a compact model is converted
-    node-for-node for the dump without switching the model itself, so the
-    document — children sorted, special links in creation order — is
-    identical to the one its node-forest twin produces.
+    The document is written from the model's node-forest view —
+    children sorted, special links in creation order — so it is the same
+    whichever way the store was built (bulk fit, online folds, restore).
     """
     if not model.is_fitted:
         raise ModelError("cannot serialise an unfitted model")
@@ -187,6 +185,10 @@ def _construct(class_name: str, meta: dict[str, Any]) -> PPMModel:
 def load_model(payload: dict[str, Any]) -> PPMModel:
     """Reconstruct a model from a dict produced by :func:`dump_model`.
 
+    The document's node forest is loaded into a fresh compact store, so
+    the restored model predicts through the compiled table exactly like
+    the fitted one — same predictions, same usage marks.
+
     Every malformation — wrong top-level type, missing keys, wrong
     ``FORMAT_VERSION``, broken node payloads — surfaces as
     :class:`~repro.errors.ModelError`, so callers restoring persisted
@@ -206,7 +208,6 @@ def load_model(payload: dict[str, Any]) -> PPMModel:
         for root_payload in payload.get("roots", ()):
             root = _node_from_dict(root_payload)
             roots[root.url] = root
-        model._roots = roots
         # Re-wire special links from their recorded paths.
         for root_url, paths in payload.get("special_links", {}).items():
             root = roots.get(root_url)
@@ -218,11 +219,13 @@ def load_model(payload: dict[str, Any]) -> PPMModel:
                     node = node.child(url) if node is not None else None
                 if node is not None:
                     root.special_links.append(node)
+        model._store = CompactTrie.from_node_forest(roots, model._symbols)
     except ModelError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ModelError(f"malformed model document: {exc!r}") from exc
     model._fitted = True
+    model._mutations += 1
     return model
 
 
@@ -239,36 +242,22 @@ def loads_model(text: str) -> PPMModel:
     return load_model(payload)
 
 
-def _model_store(model: PPMModel) -> tuple[CompactTrie, SymbolTable]:
-    """The model's compact store, converting a node forest without
-    switching the model's own representation."""
-    if model._store is not None:
-        return model._store, model._symbols
-    symbols = SymbolTable()
-    return CompactTrie.from_node_forest(model._roots, symbols), symbols
-
-
 def model_to_buffer(model: PPMModel) -> bytes:
     """Serialise a fitted model into one contiguous binary buffer.
 
     The shared-memory twin of :func:`dump_model`: a fixed header (magic,
     version, CRC-32 checksum), a JSON metadata blob (model class,
     constructor metadata, the interned URL table), the compact trie's
-    :func:`~repro.kernel.buffer.trie_to_buffer` block and — when
-    :data:`repro.params.COMPILED_PREDICT` is on — the compiled prediction
-    table's :meth:`~repro.kernel.predict_table.PredictTable.to_buffer`
-    block.  One such buffer is what ``repro.serve.multiproc`` writes into
+    :func:`~repro.kernel.buffer.trie_to_buffer` block and the compiled
+    prediction table's
+    :meth:`~repro.kernel.predict_table.PredictTable.to_buffer` block.  One such buffer is what ``repro.serve.multiproc`` writes into
     a shared-memory segment for every worker process to map read-only;
     compiling here, once, at serialisation time is what lets workers map
     the table zero-copy and never compile themselves.
     """
     if not model.is_fitted:
         raise ModelError("cannot serialise an unfitted model")
-    store, symbols = _model_store(model)
-    if len(store.syms) != store.node_count:
-        # Densify once, up front, so the trie block and the compiled
-        # table are built from the same node numbering.
-        store = store.compacted()
+    symbols = model._symbols
     meta = json.dumps(
         {
             "class": type(model).__name__,
@@ -278,26 +267,10 @@ def model_to_buffer(model: PPMModel) -> bytes:
         separators=(",", ":"),
     ).encode()
     pad = (-len(meta)) % 8
-    trie = trie_to_buffer(store)
-    table_blob = b""
-    if params.COMPILED_PREDICT:
-        if store is model._store:
-            # Serialising the model's own (dense) store: go through the
-            # model's cache so the supervisor compiles at most once even
-            # when it both serves and serialises the same model.
-            table = model._compiled_table()
-        else:
-            from repro.kernel.predict_table import compile_predict_table
-
-            table = compile_predict_table(
-                store,
-                symbols,
-                special_threshold=getattr(
-                    model, "special_link_threshold", params.SPECIAL_LINK_THRESHOLD
-                ),
-            )
-        if table is not None:
-            table_blob = table.to_buffer()
+    trie = trie_to_buffer(model._store)
+    # Through the model's cache, so the supervisor compiles at most once
+    # even when it both serves and serialises the same model.
+    table_blob = model._compiled_table().to_buffer()
     payload = meta + b"\x00" * pad + trie + table_blob
     header = _MODEL_HEADER.pack(
         MODEL_BUFFER_MAGIC,
@@ -352,7 +325,6 @@ def model_from_buffer(
     trie_end = meta_len + pad + trie_len
     model._store = trie_from_buffer(payload[meta_len + pad : trie_end], copy=copy)
     model._symbols = symbols
-    model._roots = {}
     model._fitted = True
     model._mutations += 1
     if table_len:

@@ -37,22 +37,13 @@ class StandardPPM(PPMModel):
     name = "standard"
     supports_incremental = True
 
-    def __init__(
-        self, max_height: int | None = None, *, compact: bool | None = None
-    ) -> None:
-        super().__init__(compact=compact)
+    def __init__(self, max_height: int | None = None) -> None:
+        super().__init__()
         if max_height is not None and max_height < 1:
             raise ValueError(f"max_height must be >= 1, got {max_height}")
         self.max_height = max_height
 
     def _build(self, sessions: list[Session]) -> None:
-        for session in sessions:
-            urls = session.urls
-            for start in range(len(urls)):
-                stop = len(urls) if self.max_height is None else start + self.max_height
-                self.insert_path(urls[start:stop])
-
-    def _build_compact(self, sessions: list[Session]) -> bool:
         # The standard tree is exactly the n-gram count trie of the corpus
         # (one window per start position, capped at max_height) — built in
         # bulk by the vectorised kernel over deduplicated sessions.
@@ -63,10 +54,13 @@ class StandardPPM(PPMModel):
             max_height=self.max_height,
             weights=weights,
         )
-        return True
 
-    def _fold_compact(self, sessions: list[Session]) -> None:
-        """Add sessions' windows into the existing store, click by click."""
+    def fold_sessions(self, sessions: list[Session]) -> None:
+        """Fold new sessions in — the standard tree is strictly additive.
+
+        Adds each session's windows into the existing store, click by
+        click.
+        """
         store = self._store
         insert = store.insert_suffix
         intern = self._symbols.intern_sequence
@@ -81,14 +75,6 @@ class StandardPPM(PPMModel):
                 for start in range(n):
                     stop = start + max_height
                     insert(ids, start, n if stop > n else stop)
-
-    def fold_sessions(self, sessions: list[Session]) -> None:
-        """Fold new sessions in — the standard tree is strictly additive."""
-        if self._store is not None:
-            self._fold_compact(sessions)
-            self._mutations += 1
-            return
-        self._build(sessions)
         self._mutations += 1
 
     @classmethod

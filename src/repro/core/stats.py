@@ -3,8 +3,10 @@
 The paper's space metric is the number of stored URL nodes; its
 path-utilisation metric defines a *path* as "a URL sequence from the root
 to an ending leaf" and marks a path useful once it has been used for a
-prediction.  The prediction engine sets :attr:`TrieNode.used` on every node
-it touches; a root-to-leaf path counts as used when its leaf was reached.
+prediction.  The prediction engine flags every node it touches in the
+model's store, and a :class:`TrieNode` view (``model.roots``) carries the
+flags as :attr:`TrieNode.used`; a root-to-leaf path counts as used when
+its leaf was reached.  These helpers work on any such forest.
 """
 
 from __future__ import annotations

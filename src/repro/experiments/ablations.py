@@ -17,9 +17,9 @@ measures its effect on the paper's metrics.
 from __future__ import annotations
 
 from repro.core.pb import PopularityBasedPPM
-from repro.core.pruning import (
-    prune_by_absolute_count,
-    prune_by_relative_probability,
+from repro.kernel.prune import (
+    prune_compact_by_absolute_count,
+    prune_compact_by_relative_probability,
 )
 from repro.experiments.lab import DEFAULT_SEED, get_lab
 from repro.experiments.result import ExperimentResult
@@ -158,14 +158,20 @@ def ablation_pruning(
                 prune_absolute_count=None,
             )
             model.fit(split.train_sessions)
+            store = model._store
             removed_rel = (
-                prune_by_relative_probability(model.roots, cutoff=cutoff)
+                prune_compact_by_relative_probability(store, cutoff=cutoff)
                 if cutoff > 0
                 else 0
             )
             removed_abs = (
-                prune_by_absolute_count(model.roots, max_count=1) if absolute else 0
+                prune_compact_by_absolute_count(store, max_count=1)
+                if absolute
+                else 0
             )
+            # The passes leave garbage slots; densify before predicting.
+            model._store = store.compacted()
+            model._mutations += 1
             simulator = PrefetchSimulator(
                 model,
                 lab.url_sizes,

@@ -1,11 +1,9 @@
-"""The compact model kernel: interned URL ids and array-backed tries.
+"""The model kernel: interned URL ids, array-backed tries, compiled tables.
 
 The paper's selling point is high accuracy at *low storage*, yet a naive
 reproduction spends most of its build time and memory on Python string
-keys and one ``dict``-of-children object per trie node.  This package is
-the storage/latency substrate every model builds on when the compact
-kernel is enabled (the default, see
-:data:`repro.params.COMPACT_MODEL_KERNEL`):
+keys and one ``dict``-of-children object per trie node.  Every model
+stores its forest in this package's structures:
 
 * :mod:`repro.kernel.symbols` — :class:`SymbolTable` interns every URL
   into a dense integer id once, so the hot trie loops hash machine
@@ -13,19 +11,24 @@ kernel is enabled (the default, see
 * :mod:`repro.kernel.compact` — :class:`CompactTrie` stores a whole
   prediction forest in parallel integer arrays (counts / parents /
   first-child / next-sibling) plus one packed ``(parent, symbol) -> child``
-  int map, with lossless conversion to and from the
-  :class:`~repro.core.node.TrieNode` forest API;
+  int map, and converts to and from a
+  :class:`~repro.core.node.TrieNode` forest view for serialisation and
+  inspection;
 * :mod:`repro.kernel.bulk` — vectorised level-by-level trie
   construction: the PPM builds are n-gram counting, so the whole forest
   is discovered with ``np.unique`` over packed (parent, symbol) keys and
   loaded into the arrays in bulk;
 * :mod:`repro.kernel.prune` — the paper's two space-optimisation passes
-  reimplemented over the array store.
+  over the array store;
+* :mod:`repro.kernel.predict_table` — the compiled prediction table:
+  every node's candidates sorted once at threshold 0, cut per request,
+  the one path every prediction takes;
+* :mod:`repro.kernel.buffer` — the zero-copy wire form of a store.
 
-Equivalence guarantee: a model fitted through the compact kernel
-predicts, serialises and renders **identically** to one fitted on
-:class:`~repro.core.node.TrieNode` objects; ``tests/kernel/`` pins this
-contract model by model.
+The node-forest oracle under ``tests/`` builds and walks the paper's
+rules one :class:`~repro.core.node.TrieNode` per URL; the differential
+and property suites pin that the kernel predicts, marks usage and
+serialises identically to it.
 """
 
 from repro.kernel.buffer import (

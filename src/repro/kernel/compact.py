@@ -9,11 +9,10 @@ run on machine-integer hashing and never allocate a Python object per
 node.  The sibling chain exists so children can be enumerated without
 consulting the packed map.
 
-The store converts losslessly to and from the
-:class:`~repro.core.node.TrieNode` forest the rest of the library's tree
-API (serialisation, rendering, pruning ablations, statistics) is written
-against: counts, usage flags and PB-PPM special links all survive the
-round trip, in order.
+The store converts losslessly to and from a
+:class:`~repro.core.node.TrieNode` forest — the view serialisation,
+rendering and tree statistics read: counts, usage flags and PB-PPM
+special links all survive the round trip, in order.
 """
 
 from __future__ import annotations
@@ -350,9 +349,8 @@ class CompactTrie:
     ) -> list[tuple[str, ...]]:
         """Root URL paths of every node whose usage flag is set.
 
-        Deterministic order matching the :class:`TrieNode` collector in
-        :mod:`repro.parallel.worker`: roots sorted by URL, children
-        visited in URL order.
+        Deterministic order: roots sorted by URL, children visited in URL
+        order, each node before its children.
         """
         url_of = symbols.url
         paths: list[tuple[str, ...]] = []
@@ -378,8 +376,8 @@ class CompactTrie:
     ) -> None:
         """Set the usage flag on the nodes named by root URL paths.
 
-        Paths that no longer resolve are ignored, mirroring the
-        :class:`TrieNode` marker.
+        Paths that no longer resolve are ignored — they can only appear if
+        the forest changed between collection and marking.
         """
         get_sym = symbols.get
         for path in paths:

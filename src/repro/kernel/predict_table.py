@@ -3,23 +3,23 @@
 The prediction hot loop — enumerate a matched node's children, divide two
 counts, compare against the 0.25 threshold, sort the survivors — repeats
 identical work for every click routed through the same node.  This module
-moves all of it to build/swap time: one compilation pass flattens a
-:class:`~repro.kernel.compact.CompactTrie` into CSR-style numpy arrays so
-that at request time a prediction is a row slice and a cursor advance is a
-``searchsorted`` probe.
+moves the enumeration, division and sort to build/swap time: one
+compilation pass flattens a :class:`~repro.kernel.compact.CompactTrie`
+into CSR-style numpy arrays so that at request time a prediction is a
+bisection plus a row slice (cached per threshold) and a cursor advance is
+a ``searchsorted`` probe.
 
 Three array families make up a :class:`PredictTable`:
 
-* **Context rows** — per node, the children that clear the prediction
-  threshold, already sorted by ``(-probability, url)``: ``ctx_offsets``
-  (CSR offsets, one slot per node), ``ctx_sym`` / ``ctx_prob`` /
+* **Context rows** — per node, every child with a defined conditional
+  probability, sorted by ``(-probability, url)``: ``ctx_offsets`` (CSR
+  offsets, one slot per node), ``ctx_sym`` / ``ctx_prob`` /
   ``ctx_child`` (predicted symbol, conditional probability, child node
-  index for usage marking).  A row slice *is* the prediction — no
-  per-call threshold check, division or sort.
-* **Special rows** — PB-PPM's rule-3 predictions per root: per-URL
-  aggregated link counts gated by the special-link threshold, with the
-  linked node indices kept per row (``spl_offsets`` / ``spl_nodes``) so
-  usage marking stays exact.
+  index for usage marking).  No per-call division or sort.
+* **Special rows** — PB-PPM's rule-3 candidates per root: per-URL
+  aggregated link counts, same ordering, with the linked node indices
+  kept per row (``spl_offsets`` / ``spl_nodes``) so usage marking stays
+  exact.
 * **Transitions** — every ``(parent, symbol) -> child`` edge packed as
   ``((parent + 1) << KEY_SHIFT) | symbol`` in one sorted key array.
   Roots live in the same array (parent -1 packs to slot 0), so
@@ -28,12 +28,17 @@ Three array families make up a :class:`PredictTable`:
   vectorised ``searchsorted``, and a buffer-mapped worker never pays the
   O(n) child-dict rebuild the eager path needed per remap.
 
-The table is immutable once compiled and carries the thresholds it was
-compiled at; dispatch (:meth:`covers`) falls back to the uncompiled path
-for any other threshold, so experiment sweeps stay exact.  Row slices are
+The table is compiled once, at threshold 0, and answers every threshold.
+Because a row is sorted by descending probability, the candidates that
+clear a threshold ``t`` (``probability + PROBABILITY_EPSILON >= t``, the
+:func:`~repro.core.prediction.clears_threshold` rule) are always a
+prefix of the row; a request bisects the row's probability column for
+the prefix end.  Context rows are cut at the request threshold, special
+rows at the model's special-link threshold.  The cut rows are
 materialised lazily into tuples of shared frozen
 :class:`~repro.core.prediction.Prediction` objects, cached per
-``(node, order)`` — repeat visits to hot nodes allocate nothing.
+``(node, order, threshold)`` — repeat visits to hot nodes allocate
+nothing.
 
 ``to_buffer`` / ``from_buffer`` frame the arrays with the same
 magic/version/CRC discipline as :mod:`repro.kernel.buffer`, which is how
@@ -45,12 +50,13 @@ compile (:data:`COMPILE_COUNT` lets tests assert exactly that).
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro import params
-from repro.core.prediction import Prediction, clears_threshold
+from repro.core.prediction import Prediction
 from repro.kernel.compact import KEY_SHIFT, CompactTrie
 from repro.validation import (
     checksum,
@@ -67,16 +73,29 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 TABLE_BUFFER_MAGIC = b"RPPT"
 
 #: Format version written into (and required from) every table buffer.
-TABLE_BUFFER_VERSION = 1
+#: Version 2 tables hold every candidate (compiled at threshold 0) and
+#: carry no thresholds in their header.
+TABLE_BUFFER_VERSION = 2
 
-# magic, version, crc, reserved, threshold, special threshold,
-# node count n, context rows, special rows, flattened linked indices.
-_HEADER = struct.Struct("<4sIIIddQQQQ")
+# magic, version, crc, reserved, node count n, context rows, special
+# rows, flattened linked indices.
+_HEADER = struct.Struct("<4sIIIQQQQ")
 
 #: Table compilations performed by this process.  Serving workers map
 #: precompiled tables out of the shared segment, so the counter must not
 #: move inside a worker — ``tests/serve`` asserts the delta stays zero.
 COMPILE_COUNT = 0
+
+
+def _qualifying(probs: list[float], threshold: float) -> int:
+    """Length of the prefix of a descending row that clears ``threshold``.
+
+    The same ``probability + epsilon >= threshold`` rule as
+    :func:`~repro.core.prediction.clears_threshold`; the row is sorted by
+    descending probability, so the qualifying entries are a prefix.
+    """
+    epsilon = params.PROBABILITY_EPSILON
+    return bisect_left(probs, True, key=lambda p: p + epsilon < threshold)
 
 
 def _as_int64(values) -> np.ndarray:
@@ -97,8 +116,6 @@ class PredictTable:
     """
 
     __slots__ = (
-        "threshold",
-        "special_threshold",
         "node_count",
         "ctx_offsets",
         "ctx_sym",
@@ -113,13 +130,12 @@ class PredictTable:
         "trans_child",
         "_row_cache",
         "_special_cache",
+        "_cache_limit",
     )
 
     def __init__(
         self,
         *,
-        threshold: float,
-        special_threshold: float,
         ctx_offsets: np.ndarray,
         ctx_sym: np.ndarray,
         ctx_prob: np.ndarray,
@@ -132,8 +148,6 @@ class PredictTable:
         trans_keys: np.ndarray,
         trans_child: np.ndarray,
     ) -> None:
-        self.threshold = float(threshold)
-        self.special_threshold = float(special_threshold)
         self.node_count = len(ctx_offsets) - 1
         self.ctx_offsets = ctx_offsets
         self.ctx_sym = ctx_sym
@@ -146,41 +160,36 @@ class PredictTable:
         self.spl_nodes = spl_nodes
         self.trans_keys = trans_keys
         self.trans_child = trans_child
-        self._row_cache: dict[tuple[int, int], tuple] = {}
-        self._special_cache: dict[int, tuple] = {}
-
-    # -- dispatch --------------------------------------------------------------
-
-    def covers(self, threshold: float) -> bool:
-        """Whether the table answers predictions at ``threshold``.
-
-        Rows were filtered at compile time, so only the exact compiled
-        threshold is answerable; any other value (an ablation sweep, a
-        per-request override) must use the uncompiled path.
-        """
-        return threshold == self.threshold
+        self._row_cache: dict[tuple[int, int, float], tuple] = {}
+        self._special_cache: dict[tuple[int, float], tuple] = {}
+        # A node's order is its depth, so one threshold caches at most
+        # node_count rows; the cap only bites when a stream of distinct
+        # per-request thresholds would otherwise grow the cache forever.
+        self._cache_limit = 4 * self.node_count + 1024
 
     # -- row access ------------------------------------------------------------
 
     def context_row(
-        self, idx: int, order: int, url_of
+        self, idx: int, order: int, threshold: float, url_of
     ) -> tuple[tuple[Prediction, ...], tuple[int, ...]]:
-        """``(predictions, child indices)`` for a matched node.
+        """``(predictions, child indices)`` for a matched node at ``threshold``.
 
-        Predictions arrive sorted by ``(-probability, url)`` with
-        ``order`` already set; the parallel child-index tuple feeds usage
-        marking.  The tuple of frozen ``Prediction`` objects is cached
-        and shared across calls.
+        The row's prefix that clears ``threshold``, sorted by
+        ``(-probability, url)`` with ``order`` already set; the parallel
+        child-index tuple feeds usage marking.  The tuple of frozen
+        ``Prediction`` objects is cached and shared across calls.
         """
-        key = (idx, order)
-        row = self._row_cache.get(key)
+        key = (idx, order, threshold)
+        cache = self._row_cache
+        row = cache.get(key)
         if row is None:
             lo = int(self.ctx_offsets[idx])
             hi = int(self.ctx_offsets[idx + 1])
+            probs = self.ctx_prob[lo:hi].tolist()
+            hi = lo + _qualifying(probs, threshold)
             if lo == hi:
                 row = ((), ())
             else:
-                probs = self.ctx_prob[lo:hi].tolist()
                 syms = self.ctx_sym[lo:hi].tolist()
                 row = (
                     tuple(
@@ -191,27 +200,31 @@ class PredictTable:
                     ),
                     tuple(self.ctx_child[lo:hi].tolist()),
                 )
-            self._row_cache[key] = row
+            if len(cache) >= self._cache_limit:
+                cache.clear()
+            cache[key] = row
         return row
 
     def special_row(
-        self, root: int, url_of
+        self, root: int, threshold: float, url_of
     ) -> tuple[tuple[Prediction, ...], tuple[tuple[int, ...], ...]]:
         """``(predictions, linked index groups)`` for a root's special links.
 
-        One prediction per linked URL that cleared the special-link
-        threshold (order 0, source ``"special_link"``); the parallel
+        One prediction per linked URL whose aggregated probability clears
+        ``threshold`` (order 0, source ``"special_link"``); the parallel
         groups carry the duplicated nodes aggregated into each row, for
         usage marking.
         """
-        row = self._special_cache.get(root)
+        key = (root, threshold)
+        row = self._special_cache.get(key)
         if row is None:
             lo = int(self.spc_offsets[root])
             hi = int(self.spc_offsets[root + 1])
+            probs = self.spc_prob[lo:hi].tolist()
+            hi = lo + _qualifying(probs, threshold)
             if lo == hi:
                 row = ((), ())
             else:
-                probs = self.spc_prob[lo:hi].tolist()
                 syms = self.spc_sym[lo:hi].tolist()
                 bounds = self.spl_offsets[lo : hi + 1].tolist()
                 row = (
@@ -229,7 +242,9 @@ class PredictTable:
                         for start, stop in zip(bounds, bounds[1:])
                     ),
                 )
-            self._special_cache[root] = row
+            if len(self._special_cache) >= self._cache_limit:
+                self._special_cache.clear()
+            self._special_cache[key] = row
         return row
 
     # -- transitions -----------------------------------------------------------
@@ -337,8 +352,6 @@ class PredictTable:
             TABLE_BUFFER_VERSION,
             checksum(payload),
             0,
-            self.threshold,
-            self.special_threshold,
             self.node_count,
             len(self.ctx_sym),
             len(self.spc_sym),
@@ -362,8 +375,6 @@ class PredictTable:
             version,
             stored_crc,
             _reserved,
-            threshold,
-            special_threshold,
             n,
             ctx_len,
             spc_len,
@@ -399,9 +410,7 @@ class PredictTable:
                 payload, dtype=dtype, count=count, offset=offset
             )
             offset += count * 8
-        return cls(
-            threshold=threshold, special_threshold=special_threshold, **arrays
-        )
+        return cls(**arrays)
 
     def storage_bytes(self) -> int:
         """Bytes held by the table's arrays (diagnostics)."""
@@ -425,29 +434,27 @@ class PredictTable:
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return (
             f"PredictTable(nodes={self.node_count}, "
-            f"rows={len(self.ctx_sym)}, special={len(self.spc_sym)}, "
-            f"threshold={self.threshold})"
+            f"rows={len(self.ctx_sym)}, special={len(self.spc_sym)})"
         )
 
 
 def compile_predict_table(
-    store: CompactTrie,
-    symbols: "SymbolTable",
-    *,
-    threshold: float = params.PREDICTION_PROBABILITY_THRESHOLD,
-    special_threshold: float = params.SPECIAL_LINK_THRESHOLD,
-) -> PredictTable | None:
+    store: CompactTrie, symbols: "SymbolTable"
+) -> PredictTable:
     """Flatten a compact store into a :class:`PredictTable`.
 
-    Returns None for a store with garbage slots (after deletions and
+    Compiled at threshold 0: every row holds all of its candidates, and
+    requests cut it to their threshold (see the module docstring).
+
+    Raises ValueError for a store with garbage slots (after deletions and
     before :meth:`~repro.kernel.compact.CompactTrie.compacted`): its node
-    indices would not survive densification, and every path that serves
-    predictions — fresh fits, pruned dense stores, buffer mappings —
-    is dense already.
+    indices would not survive densification, and every store a model
+    predicts from — fresh fits, pruned dense stores, buffer mappings —
+    is dense.
     """
     n = len(store.syms)
     if n != store.node_count:
-        return None
+        raise ValueError("compile_predict_table requires a dense store")
     global COMPILE_COUNT
     COMPILE_COUNT += 1
     url_of = symbols.url
@@ -462,47 +469,34 @@ def compile_predict_table(
     trans_keys = keys[order]
     trans_child = order.astype(np.int64)
 
-    # Context rows: qualifying children grouped per parent.  The
-    # division below is the same int64 / int64 -> float64 the uncompiled
-    # path performs per request, so probabilities are bit-identical.
+    # Context rows: every child of a counted parent, grouped per parent.
+    # The division is the exact int64 / int64 -> float64 ratio of the
+    # paper's conditional probability (count over parent count).
     non_root = parents >= 0
     parent_idx = np.where(non_root, parents, 0)
     parent_counts = counts[parent_idx]
     probs = np.zeros(n, dtype=np.float64)
     np.divide(counts, parent_counts, out=probs, where=parent_counts > 0)
-    qualify = (
-        non_root
-        & (parent_counts > 0)
-        & (probs + params.PROBABILITY_EPSILON >= threshold)
-    )
-    cand = np.nonzero(qualify)[0]
-    grouped = cand[np.argsort(parents[cand], kind="stable")]
-    row_counts = np.bincount(parents[cand], minlength=n) if len(cand) else (
-        np.zeros(n, dtype=np.int64)
-    )
+    cand = np.nonzero(non_root & (parent_counts > 0))[0]
+    # Rank every symbol by its URL once, so the per-row (-probability,
+    # url) order is one vectorised lexsort grouped by parent.
+    urls = symbols.urls()
+    by_url = sorted(range(len(urls)), key=urls.__getitem__)
+    url_rank = np.empty(len(urls), dtype=np.int64)
+    url_rank[by_url] = np.arange(len(urls))
+    grouped = cand[
+        np.lexsort((url_rank[syms[cand]], -probs[cand], parents[cand]))
+    ]
+    row_counts = np.bincount(parents[cand], minlength=n)
     ctx_offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(row_counts, out=ctx_offsets[1:])
-    ctx_child = np.empty(len(grouped), dtype=np.int64)
-    ctx_sym = np.empty(len(grouped), dtype=np.int64)
-    ctx_prob = np.empty(len(grouped), dtype=np.float64)
-    grouped_list = grouped.tolist()
-    grouped_probs = probs[grouped].tolist()
-    grouped_syms = syms[grouped].tolist()
-    offsets_list = ctx_offsets.tolist()
-    for parent in np.nonzero(row_counts)[0].tolist():
-        lo, hi = offsets_list[parent], offsets_list[parent + 1]
-        entries = sorted(
-            range(lo, hi),
-            key=lambda i: (-grouped_probs[i], url_of(grouped_syms[i])),
-        )
-        for out_pos, i in enumerate(entries, start=lo):
-            ctx_child[out_pos] = grouped_list[i]
-            ctx_sym[out_pos] = grouped_syms[i]
-            ctx_prob[out_pos] = grouped_probs[i]
+    ctx_child = grouped.astype(np.int64)
+    ctx_sym = syms[grouped]
+    ctx_prob = probs[grouped]
 
-    # Special rows: PB-PPM's per-root linked predictions, aggregated by
-    # URL, gated by the special-link threshold, with the contributing
-    # node indices kept per row for usage marking.
+    # Special rows: PB-PPM's per-root linked candidates, aggregated by
+    # URL, with the contributing node indices kept per row for usage
+    # marking.
     counts_list = counts.tolist()
     syms_list = syms.tolist()
     spc_row_counts = np.zeros(n, dtype=np.int64)
@@ -520,13 +514,10 @@ def compile_predict_table(
             sym = syms_list[linked]
             aggregated[sym] = aggregated.get(sym, 0) + counts_list[linked]
             groups.setdefault(sym, []).append(linked)
-        entries = []
-        for sym, aggregate in aggregated.items():
-            probability = min(1.0, aggregate / total)
-            if clears_threshold(probability, special_threshold):
-                entries.append((probability, sym))
-        if not entries:
-            continue
+        entries = [
+            (min(1.0, aggregate / total), sym)
+            for sym, aggregate in aggregated.items()
+        ]
         entries.sort(key=lambda e: (-e[0], url_of(e[1])))
         spc_row_counts[root] = len(entries)
         for probability, sym in entries:
@@ -538,8 +529,6 @@ def compile_predict_table(
     np.cumsum(spc_row_counts, out=spc_offsets[1:])
 
     return PredictTable(
-        threshold=threshold,
-        special_threshold=special_threshold,
         ctx_offsets=ctx_offsets,
         ctx_sym=ctx_sym,
         ctx_prob=ctx_prob,

@@ -1,11 +1,17 @@
 """Section 3.4's space optimisations over the array-backed store.
 
-Same contracts as :mod:`repro.core.pruning`, re-expressed on
-:class:`~repro.kernel.compact.CompactTrie` indices so PB-PPM's two
-post-build passes never have to materialise a :class:`TrieNode` forest.
-Each pass mutates the store in place, drops special links into removed
-subtrees, and returns the number of nodes removed — the same number the
-node-based pass reports on the equivalent forest.
+1. **Relative-probability cut** — remove each non-root node whose
+   relative access probability (its count over its parent's count) is
+   below a cut-off (5-10 % in the paper's experiments), with the branches
+   linked under it.
+2. **Absolute-count cut** — remove each node accessed at most once
+   (applied for some traces, e.g. UCB-CS).
+
+The two in-place passes mutate a store and leave garbage slots; call
+:meth:`~repro.kernel.compact.CompactTrie.compacted` before predicting
+from it.  :func:`prune_dense` fuses both into one vectorised rebuild.
+Every pass drops special links into removed subtrees and reports the
+number of nodes removed.
 """
 
 from __future__ import annotations
@@ -24,9 +30,9 @@ def prune_compact_by_relative_probability(
 ) -> int:
     """Remove non-root nodes with relative access probability below ``cutoff``.
 
-    Mirrors :func:`repro.core.pruning.prune_by_relative_probability`: the
-    comparison is strict, a zero-count parent yields probability 0.0 for
-    every child, and roots are never touched.
+    The comparison is strict, a zero-count parent yields probability 0.0
+    for every child, and roots are never touched.  Returns the number of
+    nodes removed (subtrees count in full).
     """
     if not 0.0 <= cutoff <= 1.0:
         raise ValueError(f"cutoff must be within [0, 1]: {cutoff}")
@@ -53,8 +59,9 @@ def prune_compact_by_absolute_count(
 ) -> int:
     """Remove every node accessed at most ``max_count`` times.
 
-    Mirrors :func:`repro.core.pruning.prune_by_absolute_count`, including
-    removal of failing roots together with their whole branch set.
+    A failing root goes with its whole branch set; interior failures drop
+    their subtree (counts only fall along a branch, so a failing node's
+    descendants all fail too).
     """
     if max_count < 0:
         raise ValueError(f"max_count must be >= 0: {max_count}")

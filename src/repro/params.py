@@ -138,32 +138,8 @@ TRUE_TRANSFER_RATE_BPS: float = 64_000.0
 SPECIAL_LINK_THRESHOLD: float = 0.05
 
 # --------------------------------------------------------------------------
-# Model kernel (not a paper constant; see repro.kernel)
+# Model kernel and trace plane (not paper constants; see repro.kernel)
 # --------------------------------------------------------------------------
-
-#: When True (the default), models store their prediction forest in the
-#: interned, array-backed :class:`repro.kernel.compact.CompactTrie` instead
-#: of a :class:`repro.core.node.TrieNode` object per URL.  Predictions,
-#: serialisation and rendering are identical either way; the compact store
-#: builds faster and holds the same forest in a fraction of the memory.
-#: Models accept ``compact=`` to override per instance, and touching
-#: ``model.roots`` transparently materialises the node forest for code that
-#: mutates trees directly.
-COMPACT_MODEL_KERNEL: bool = True
-
-#: When True (the default), models compile their compact store into a
-#: :class:`repro.kernel.predict_table.PredictTable` — per-node candidate
-#: rows already filtered through the prediction threshold and sorted by
-#: ``(-probability, url)``, plus one sorted packed-key transition array —
-#: so ``predict`` is an O(k) row slice and a cursor advance is a couple of
-#: ``searchsorted`` probes.  Predictions are bit-identical either way (the
-#: differential harness pins it); the table is just compiled once per
-#: model generation instead of re-deriving candidates on every request.
-#: The supervisor ships the compiled table inside the shared-memory model
-#: segment, so serving workers never compile.  Tables answer only the
-#: exact threshold they were compiled at; other thresholds fall back to
-#: the uncompiled path.
-COMPILED_PREDICT: bool = True
 
 #: When True (the default), :class:`repro.trace.dataset.Trace` runs its
 #: derivation pipeline — successful-GET filtering, the deterministic
@@ -181,11 +157,11 @@ COLUMNAR_TRACE: bool = True
 #: prediction engine.  Conditional probabilities are exact ratios of small
 #: integer counts, but any future path computing them differently (e.g. via
 #: accumulated floats) must not flip a borderline 0.25 prediction, so every
-#: threshold comparison goes through
-#: :func:`repro.core.prediction.clears_threshold` with this epsilon.  Small
-#: enough that it can never flip an exact count ratio: |n/m - t| of two
-#: distinct rationals with denominators up to ~10^6 exceeds 1e-12 by orders
-#: of magnitude.
+#: threshold comparison — the compiled table's per-row cut included — uses
+#: the :func:`repro.core.prediction.clears_threshold` rule with this
+#: epsilon.  Small enough that it can never flip an exact count ratio:
+#: |n/m - t| of two distinct rationals with denominators up to ~10^6
+#: exceeds 1e-12 by orders of magnitude.
 PROBABILITY_EPSILON: float = 1e-12
 
 # --------------------------------------------------------------------------
@@ -221,19 +197,6 @@ SERVE_MAX_INFLIGHT: int = 64
 
 #: ``Retry-After`` seconds advertised on shed / timed-out responses.
 SERVE_RETRY_AFTER_S: float = 1.0
-
-#: When True (the default), the data-plane endpoints (``/report``,
-#: ``/predict``, ``/healthz``, ``/metrics``) are dispatched inline on the
-#: event loop instead of through a per-request ``asyncio.wait_for`` task,
-#: and their query strings go through a fast parser (falling back to
-#: ``urlsplit``/``parse_qsl`` for percent-escapes).  Those handlers are
-#: synchronous, so the per-request deadline could never preempt them
-#: anyway — the task and timer were pure overhead.  The slow lane is kept
-#: for ``/admin/*`` and whenever a fault plan is armed (injected stalls
-#: must still hold an in-flight slot and trip the deadline), and flipping
-#: this off restores the previous dispatch byte-for-byte — the serving
-#: benchmark's baseline.
-SERVE_FAST_DISPATCH: bool = True
 
 #: Deadline, seconds, for one read-copy-update model rebuild.  A rebuild
 #: that stalls past it counts as a breaker failure and the last-good

@@ -77,7 +77,7 @@ def _json_body(status: int, payload: dict) -> tuple[int, str, bytes]:
 
 
 def _split_target(target: str) -> tuple[str, dict[str, str]]:
-    """Fast-lane twin of ``urlsplit`` + ``parse_qsl``.
+    """Split a request target into its path and query dict.
 
     The common request target — ``&``-separated pairs, percent-escapes
     only inside values — is handled with string splits and at most one
@@ -457,49 +457,30 @@ class PrefetchServer:
         try:
             while True:
                 headers: dict[str, str] = {}
-                if params.SERVE_FAST_DISPATCH:
-                    # One readuntil for the whole head instead of one
-                    # readline per header line; identical framing for
-                    # CRLF clients (every client in this repo), and the
-                    # slow lane below remains bug-for-bug available by
-                    # flipping the flag.
-                    try:
-                        head = await reader.readuntil(b"\r\n\r\n")
-                    except asyncio.IncompleteReadError as exc:
-                        if exc.partial:
-                            self.errors_total += 1
-                            await self._write_response(
-                                writer,
-                                *_error_body(400, "malformed request line"),
-                                close=True,
-                            )
-                        break
-                    except asyncio.LimitOverrunError:
+                try:
+                    head = await reader.readuntil(b"\r\n\r\n")
+                except asyncio.IncompleteReadError as exc:
+                    if exc.partial:
                         self.errors_total += 1
                         await self._write_response(
                             writer,
-                            *_error_body(400, "request head too large"),
+                            *_error_body(400, "malformed request line"),
                             close=True,
                         )
-                        break
-                    lines = head[:-4].split(b"\r\n")
-                    request_line = lines[0]
-                    for line in lines[1:]:
-                        name, _, value = (
-                            line.decode("latin-1").partition(":")
-                        )
-                        headers[name.strip().lower()] = value.strip()
-                else:
-                    request_line = await reader.readline()
-                    if not request_line:
-                        break
-                    request_line = request_line.rstrip(b"\r\n")
-                    while True:
-                        line = await reader.readline()
-                        if line in (b"\r\n", b"\n", b""):
-                            break
-                        name, _, value = line.decode("latin-1").partition(":")
-                        headers[name.strip().lower()] = value.strip()
+                    break
+                except asyncio.LimitOverrunError:
+                    self.errors_total += 1
+                    await self._write_response(
+                        writer,
+                        *_error_body(400, "request head too large"),
+                        close=True,
+                    )
+                    break
+                lines = head[:-4].split(b"\r\n")
+                request_line = lines[0]
+                for line in lines[1:]:
+                    name, _, value = line.decode("latin-1").partition(":")
+                    headers[name.strip().lower()] = value.strip()
                 try:
                     method, target, _ = (
                         request_line.decode("latin-1").split(" ", 2)
@@ -526,16 +507,15 @@ class PrefetchServer:
                     self._inflight += 1
                     try:
                         if (
-                            params.SERVE_FAST_DISPATCH
-                            and params.FAULT_PLAN is None
+                            params.FAULT_PLAN is None
                             and self._fast_eligible(target)
                         ):
                             # Data-plane fast lane: these handlers are
                             # synchronous, so the wait_for deadline could
                             # never preempt them — skip the per-request
                             # task + timer and dispatch inline.  A fault
-                            # plan re-enables the slow lane so injected
-                            # stalls still trip the deadline.
+                            # plan sends them through the deadline-wrapped
+                            # coroutine so injected stalls still trip it.
                             status, content_type, payload = (
                                 self._dispatch_fast(method.upper(), target, body)
                             )
@@ -627,32 +607,24 @@ class PrefetchServer:
     async def _dispatch(
         self, method: str, target: str, body: bytes
     ) -> tuple[int, str, bytes]:
+        """Coroutine lane: ``/admin/*``, and every path under a fault plan.
+
+        Holds the injected ``serve.slow_request`` stall, then routes the
+        ops plane itself and hands data-plane paths to the one data-plane
+        router, :meth:`_dispatch_fast`.
+        """
         spec = fire("serve.slow_request")
         if spec is not None:
             # Injected handler stall: holds an in-flight slot (driving the
             # shed path) and overruns the request deadline.
             await asyncio.sleep(spec.delay_s)
-        split = urlsplit(target)
-        path = split.path
-        query = dict(parse_qsl(split.query))
-        self.requests_total[path] = self.requests_total.get(path, 0) + 1
-        if path == "/report":
-            if method != "POST":
-                return _error_body(405, "use POST /report")
-            return self._handle_report(query, body)
-        if path == "/predict":
-            if method != "GET":
-                return _error_body(405, "use GET /predict")
-            return self._handle_predict(query)
-        if path == "/healthz":
-            return self._handle_healthz()
-        if path == "/metrics":
-            return self._handle_metrics()
+        path, _query = _split_target(target)
         if path.startswith("/admin/"):
+            self.requests_total[path] = self.requests_total.get(path, 0) + 1
             if method != "POST":
                 return _error_body(405, "admin endpoints use POST")
             return await self._handle_admin(path)
-        return _error_body(404, f"unknown path {path!r}")
+        return self._dispatch_fast(method, target, body)
 
     def _fast_eligible(self, target: str) -> bool:
         """Whether ``target`` may take the synchronous fast lane.
@@ -666,13 +638,12 @@ class PrefetchServer:
     def _dispatch_fast(
         self, method: str, target: str, body: bytes
     ) -> tuple[int, str, bytes]:
-        """Synchronous data-plane twin of :meth:`_dispatch`.
+        """The data-plane router: ``/report``, ``/predict``, ``/healthz``,
+        ``/metrics``.
 
-        Routes exactly the non-admin surface (``/admin/*`` never reaches
-        this — the connection loop sends it down the slow lane) with the
-        same handlers, counters and error responses; the only differences
-        are the fast target parser and the absence of the per-request
-        task.  Gated by :data:`repro.params.SERVE_FAST_DISPATCH`.
+        Synchronous, so the connection loop calls it inline; under a fault
+        plan it runs inside :meth:`_dispatch`'s deadline instead.
+        ``/admin/*`` never reaches it.
         """
         path, query = _split_target(target)
         self.requests_total[path] = self.requests_total.get(path, 0) + 1
@@ -739,40 +710,24 @@ class PrefetchServer:
             limit = int(query["limit"]) if "limit" in query else None
         except ValueError:
             return _error_body(400, "bad threshold= or limit=")
+        if not 0.0 <= threshold <= 1.0:  # also refuses nan and inf
+            return _error_body(400, f"threshold must be within [0, 1]: {threshold}")
         predictions, version = self.tracker.predict(
             client, threshold=threshold, limit=limit
         )
         self.predictions_total += len(predictions)
-        if params.SERVE_FAST_DISPATCH:
-            # Byte-identical fast assembly: the per-prediction fragments
-            # are memoised (compiled-table rows hand back the same
-            # Prediction tuples request after request), so the hot path
-            # skips the dict building and most of the json.dumps work.
-            body = (
-                '{"client":%s,"model_version":%d,"predictions":[%s]}'
-                % (
-                    json.dumps(client),
-                    version,
-                    ",".join(map(_prediction_fragment, predictions)),
-                )
-            ).encode()
-            return 200, _JSON, body
-        return _json_body(
-            200,
-            {
-                "client": client,
-                "model_version": version,
-                "predictions": [
-                    {
-                        "url": p.url,
-                        "probability": round(p.probability, 6),
-                        "order": p.order,
-                        "source": p.source,
-                    }
-                    for p in predictions
-                ],
-            },
-        )
+        # The per-prediction fragments are memoised (compiled-table rows
+        # hand back the same Prediction tuples request after request), so
+        # the hot path skips dict building and most of the json.dumps work.
+        body = (
+            '{"client":%s,"model_version":%d,"predictions":[%s]}'
+            % (
+                json.dumps(client),
+                version,
+                ",".join(map(_prediction_fragment, predictions)),
+            )
+        ).encode()
+        return 200, _JSON, body
 
     def _degraded_reasons(self) -> list[str]:
         """Why the server is in a degraded (but live) state, if at all."""

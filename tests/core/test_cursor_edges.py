@@ -5,9 +5,10 @@ tests pin the awkward boundaries — unknown URLs mid-session, session
 resets, hot swaps that invalidate the match states, the degenerate
 ``max_length == 1`` window and the empty context — and always judge the
 cursor against the stateless batch path on the same trimmed context.
-Runs with the compiled prediction table both on and off: the cursor's
-advance/resync steps have a transition-array twin that must behave
-identically at every edge.
+Runs with each model's compiled table built before the cursor starts
+("compiled", as a serving publisher does) and left for the first
+prediction to compile ("uncompiled"): when the table is built must not
+change any edge.
 """
 
 from __future__ import annotations
@@ -25,14 +26,16 @@ from tests.helpers import make_sessions
 THRESHOLD = params.PREDICTION_PROBABILITY_THRESHOLD
 
 
-@pytest.fixture(params=(True, False), ids=("compiled", "uncompiled"), autouse=True)
-def compiled_predict(request):
-    previous = params.COMPILED_PREDICT
-    params.COMPILED_PREDICT = request.param
-    try:
-        yield request.param
-    finally:
-        params.COMPILED_PREDICT = previous
+@pytest.fixture(params=(True, False), ids=("compiled", "uncompiled"))
+def prepare(request):
+    """Fit hook: compile the table up front, or leave it to the first use."""
+
+    def fitted(model):
+        if request.param:
+            model._compiled_table()
+        return model
+
+    return fitted
 
 
 def training_sessions():
@@ -48,10 +51,10 @@ def training_sessions():
 
 
 @pytest.fixture()
-def model():
+def model(prepare):
     sessions = training_sessions()
-    return PopularityBasedPPM(PopularityTable.from_sessions(sessions)).fit(
-        sessions
+    return prepare(
+        PopularityBasedPPM(PopularityTable.from_sessions(sessions)).fit(sessions)
     )
 
 
@@ -148,9 +151,8 @@ class TestHotSwapResync:
         cursor = model.prediction_cursor(4)
         cursor.advance("A")
         cursor.advance("B")
-        # Materialising the node forest is a representation swap that
-        # bumps the mutation counter; handles held before it are compact
-        # array indices and would be meaningless afterwards.
+        # Materialising the node-forest view is read-only: the cursor's
+        # compact handles stay valid and it must still agree with batch.
         model.to_node_forest()
         want = model.predict(("A", "B"), threshold=THRESHOLD, mark_used=False)
         got = model.predict_cursor(
@@ -188,9 +190,9 @@ class TestEmptyContext:
     def test_empty_batch_context_matches(self, model):
         assert model.predict((), threshold=THRESHOLD, mark_used=False) == []
 
-    def test_standard_ppm_empty_and_unknown(self):
+    def test_standard_ppm_empty_and_unknown(self, prepare):
         sessions = training_sessions()
-        model = StandardPPM().fit(sessions)
+        model = prepare(StandardPPM().fit(sessions))
         cursor = model.prediction_cursor(3)
         assert (
             model.predict_cursor(cursor, threshold=THRESHOLD, mark_used=False)
@@ -200,9 +202,9 @@ class TestEmptyContext:
 
 
 class TestForeignCursor:
-    def test_cursor_from_another_model_is_rejected(self, model):
+    def test_cursor_from_another_model_is_rejected(self, model, prepare):
         sessions = training_sessions()
-        other = StandardPPM().fit(sessions)
+        other = prepare(StandardPPM().fit(sessions))
         cursor = other.prediction_cursor(4)
         cursor.advance("A")
         with pytest.raises(ValueError):

@@ -49,7 +49,7 @@ class TestFigure1Right:
         root = model.roots["A"]
         assert [linked.url for linked in root.special_links] == ["A2"]
         # The linked node is the duplicate inside A's branch, not the root.
-        assert root.special_links[0] is model.lookup(("A", "B", "C", "A2"))
+        assert root.special_links[0] is root.child("B").child("C").child("A2")
 
     def test_no_special_link_from_a2(self):
         model = figure1_model()

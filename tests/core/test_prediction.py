@@ -1,10 +1,15 @@
-"""Unit tests for the longest-match prediction engine."""
+"""Unit tests for the longest-match walk of the node-forest oracle.
+
+The oracle is what the differential suites judge the compiled table by,
+so its walk is pinned here on a hand-built forest.
+"""
 
 import pytest
 
 from repro.core.node import TrieNode
-from repro.core.prediction import (
-    Prediction,
+from repro.core.prediction import Prediction
+
+from tests.oracle import (
     iter_suffix_matches,
     match_longest_suffix,
     predict_from_context,

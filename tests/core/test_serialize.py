@@ -68,10 +68,9 @@ class TestRoundTrip:
         clone = loads_model(dumps_model(model))
         assert isinstance(clone, PopularityBasedPPM)
         # Special links re-wired to the duplicated node, not a copy.
-        assert [n.url for n in clone.roots["A"].special_links] == ["A2"]
-        assert clone.roots["A"].special_links[0] is clone.lookup(
-            ("A", "B", "C", "A2")
-        )
+        root = clone.roots["A"]
+        assert [n.url for n in root.special_links] == ["A2"]
+        assert root.special_links[0] is root.child("B").child("C").child("A2")
         # Popularity grading reconstructed.
         assert clone.popularity.grade("A") == 3
         assert clone.predict(["A"], mark_used=False) == model.predict(
@@ -92,6 +91,43 @@ class TestRoundTrip:
         used = sorted(n.url for n in model.iter_nodes() if n.used)
         cloned_used = sorted(n.url for n in clone.iter_nodes() if n.used)
         assert used == cloned_used
+
+
+class TestRestoreServesFromTable:
+    """A restored model is a compact model, not a slower node forest."""
+
+    @pytest.mark.parametrize("kind", ["pb", "standard", "lrs"])
+    def test_round_tripped_model_predicts_through_the_compiled_table(self, kind):
+        from repro.kernel.predict_table import PredictTable
+
+        popularity = PopularityTable(FIGURE1_COUNTS)
+        sessions = make_sessions(
+            [FIGURE1_SEQUENCE, FIGURE1_SEQUENCE, ("A", "B", "C"), ("B", "C")]
+        )
+        factory = {
+            "pb": lambda: PopularityBasedPPM(
+                popularity,
+                grade_heights=(1, 2, 3, 4),
+                absolute_max_height=4,
+                prune_relative_probability=None,
+            ),
+            "standard": StandardPPM,
+            "lrs": LRSPPM,
+        }[kind]
+        model = factory().fit(sessions)
+        clone = loads_model(dumps_model(model))
+        assert isinstance(clone._compiled_table(), PredictTable)
+        assert clone.node_count == model.node_count
+        stream = list(FIGURE1_SEQUENCE) + ["Z", "A", "B", "C"]
+        for threshold in (0.0, 0.25, 0.5):
+            model.reset_usage()
+            clone.reset_usage()
+            for end in range(1, len(stream) + 1):
+                context = stream[:end]
+                assert clone.predict(context, threshold=threshold) == model.predict(
+                    context, threshold=threshold
+                )
+            assert clone.collect_used_paths() == model.collect_used_paths()
 
 
 class TestFileHandles:

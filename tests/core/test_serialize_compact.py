@@ -1,7 +1,8 @@
-"""Serialisation round-trips across both forest representations.
+"""Serialisation round-trips across both ways of building a forest.
 
-The compact kernel must be invisible to persistence: a compact-built model
-and its node-forest twin serialise to byte-identical documents, and a
+A model fitted by the bulk compact builders ("compact") and its twin
+built click by click by the node-forest oracle and loaded from that
+document ("node") must serialise to byte-identical documents, and a
 reload of either predicts identically — PB-PPM's special links included,
 in creation order, re-wired to the duplicated in-branch nodes.
 """
@@ -19,6 +20,11 @@ from tests.helpers import (
     make_popularity,
     make_sessions,
 )
+from tests.oracle import node_built
+
+
+def _fit(model, sessions, compact: bool):
+    return model.fit(sessions) if compact else node_built(model, sessions)
 
 
 def figure1_model(compact: bool) -> PopularityBasedPPM:
@@ -29,9 +35,8 @@ def figure1_model(compact: bool) -> PopularityBasedPPM:
         absolute_max_height=4,
         prune_relative_probability=None,
         prune_absolute_count=None,
-        compact=compact,
     )
-    return model.fit(make_sessions([FIGURE1_SEQUENCE]))
+    return _fit(model, make_sessions([FIGURE1_SEQUENCE]), compact)
 
 
 def multi_link_model(compact: bool) -> PopularityBasedPPM:
@@ -45,17 +50,15 @@ def multi_link_model(compact: bool) -> PopularityBasedPPM:
         absolute_max_height=7,
         prune_relative_probability=None,
         prune_absolute_count=None,
-        compact=compact,
     )
-    return model.fit(
-        make_sessions(
-            [
-                ("A", "B", "C", "A2", "D"),
-                ("A", "B", "A2", "E"),
-                ("A2", "C", "A", "B"),
-            ]
-        )
+    sessions = make_sessions(
+        [
+            ("A", "B", "C", "A2", "D"),
+            ("A", "B", "A2", "E"),
+            ("A2", "C", "A", "B"),
+        ]
     )
+    return _fit(model, sessions, compact)
 
 
 class TestPBSpecialLinkRoundTrip:
@@ -63,10 +66,9 @@ class TestPBSpecialLinkRoundTrip:
     def test_figure1_links_survive(self, compact):
         model = figure1_model(compact)
         clone = loads_model(dumps_model(model))
-        assert [n.url for n in clone.roots["A"].special_links] == ["A2"]
-        assert clone.roots["A"].special_links[0] is clone.lookup(
-            ("A", "B", "C", "A2")
-        )
+        root = clone.roots["A"]
+        assert [n.url for n in root.special_links] == ["A2"]
+        assert root.special_links[0] is root.child("B").child("C").child("A2")
 
     @pytest.mark.parametrize("compact", [True, False], ids=["compact", "node"])
     def test_multi_link_predictions_survive(self, compact):
@@ -92,16 +94,20 @@ class TestPBSpecialLinkRoundTrip:
 
     def test_dumping_leaves_model_compact(self):
         model = figure1_model(True)
+        store, table = model._store, model._compiled_table()
         dumps_model(model)
-        assert model.is_compact
+        # Dumping reads a node-forest view; the store and its compiled
+        # table stay exactly as they were.
+        assert model._store is store
+        assert model._compiled_table() is table
 
     def test_reloaded_compact_conversion_round_trip(self):
-        # load -> to_compact -> dump must still be the same document.
+        # load -> dump must still be the same document: the restored
+        # model's compact store converts back without loss.
         model = multi_link_model(True)
         doc = dump_model(model)
         clone = loads_model(dumps_model(model))
-        clone.to_compact()
-        assert clone.is_compact
+        assert clone._compiled_table() is not None
         assert dump_model(clone) == doc
 
 
@@ -109,12 +115,12 @@ class TestStandardRoundTripAcrossRepresentations:
     SEQS = [("A", "B", "C"), ("A", "B", "D"), ("B", "C")]
 
     def test_documents_identical(self):
-        compact = StandardPPM(compact=True).fit(make_sessions(self.SEQS))
-        node = StandardPPM(compact=False).fit(make_sessions(self.SEQS))
+        compact = StandardPPM().fit(make_sessions(self.SEQS))
+        node = node_built(StandardPPM(), make_sessions(self.SEQS))
         assert dumps_model(compact) == dumps_model(node)
 
     def test_used_flags_survive_from_compact(self):
-        model = StandardPPM(compact=True).fit(make_sessions(self.SEQS))
+        model = StandardPPM().fit(make_sessions(self.SEQS))
         model.predict(["A"], threshold=0.0)
         clone = loads_model(dumps_model(model))
         used = sorted(n.url for n in clone.iter_nodes() if n.used)

@@ -15,8 +15,12 @@ independently-implemented paths:
    (``model_from_buffer(model_to_buffer(model))``), the representation the
    multi-process workers serve from.
 
-A node-forest twin of the model (``compact=False``) is replayed as a fifth
-oracle.  This suite replays hundreds of seeded synthetic sessions through
+The node-forest oracle (``tests/oracle.py``: the paper's rules built click
+by click on ``TrieNode`` objects and walked child by child) is replayed as
+a fifth path.  The whole suite runs twice: with the model's compiled
+table built before the replay ("compiled", as a serving publisher does)
+and left for the first prediction to build ("uncompiled").  This suite
+replays hundreds of seeded synthetic sessions through
 all paths and asserts prediction-for-prediction equality.  On divergence a
 greedy shrinking loop reduces the session to a minimal reproducer before
 failing, so the report names the shortest click sequence (and the first
@@ -35,6 +39,8 @@ from repro.core.standard import StandardPPM
 from repro.serve.state import ClientSessionTracker, ModelRef, trim_context
 from repro.synth import generate_trace
 from repro.trace.sessions import Session
+
+from tests.oracle import oracle_twin
 
 SEED = 20260805
 MIN_SESSIONS = 100
@@ -168,26 +174,30 @@ def corpus():
     ids=("compiled", "uncompiled"),
     autouse=True,
 )
-def compiled_predict(request):
-    """Run the whole agreement suite with the compiled prediction table
-    both on and off: the flag changes dispatch at predict time, so it must
-    be live while the replays run, not just while models fit."""
-    previous = params.COMPILED_PREDICT
-    params.COMPILED_PREDICT = request.param
-    try:
-        yield request.param
-    finally:
-        params.COMPILED_PREDICT = previous
+def precompiled(request):
+    """Whether the model's table is compiled before the replays start."""
+    return request.param
+
+
+def _twins(model_factory, train, precompiled):
+    """The model under test, its buffer twin and its node-forest oracle.
+
+    The buffer twin is serialised from a separate fit, so serialising it
+    never compiles the table of the model under test.
+    """
+    compact = model_factory().fit(train)
+    if precompiled:
+        compact._compiled_table()
+    buffer_twin = model_from_buffer(model_to_buffer(model_factory().fit(train)))
+    forest = oracle_twin(compact).fit(train)
+    return {"compact": compact, "forest": forest, "buffer": buffer_twin}
 
 
 @pytest.fixture(scope="module")
-def models(corpus, compiled_predict):
+def models(corpus, precompiled):
     train = corpus.train_sessions
     popularity = PopularityTable.from_sessions(train)
-    compact = PopularityBasedPPM(popularity).fit(train)
-    forest = PopularityBasedPPM(popularity, compact=False).fit(train)
-    buffer_twin = model_from_buffer(model_to_buffer(compact))
-    return {"compact": compact, "forest": forest, "buffer": buffer_twin}
+    return _twins(lambda: PopularityBasedPPM(popularity), train, precompiled)
 
 
 # ---------------------------------------------------------------------------
@@ -208,15 +218,9 @@ class TestAllPathsAgree:
             checked += 1
         assert checked >= MIN_SESSIONS
 
-    def test_standard_ppm_paths_agree_too(self, corpus):
+    def test_standard_ppm_paths_agree_too(self, corpus, precompiled):
         """The guarantee is model-independent: StandardPPM as well."""
-        train = corpus.train_sessions
-        compact = StandardPPM().fit(train)
-        models = {
-            "compact": compact,
-            "forest": StandardPPM(compact=False).fit(train),
-            "buffer": model_from_buffer(model_to_buffer(compact)),
-        }
+        models = _twins(StandardPPM, corpus.train_sessions, precompiled)
         for index, session in enumerate(corpus.test_sessions[:MIN_SESSIONS]):
             divergence = _first_divergence(models, session.urls)
             if divergence is not None:

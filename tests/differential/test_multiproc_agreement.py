@@ -7,7 +7,11 @@ kernel's connection balancing pins each session to a single worker.  Every
 ``/predict`` response must match, prediction for prediction, what an
 in-process :class:`ClientSessionTracker` over the same model produces —
 proving the zero-copy buffer plane and the multi-process serving path
-change nothing about the paper's predictions.
+change nothing about the paper's predictions — at the default threshold
+and at per-request ``/predict?threshold=`` overrides, which the shipped
+table answers by cutting its rows.  Runs with the supervisor's model
+table compiled before the cluster starts ("compiled") and left for the
+first publish to compile ("uncompiled").
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from tests.serve.conftest import ServeClient
 SEED = 977
 SESSIONS_TO_REPLAY = 20
 THRESHOLD = params.PREDICTION_PROBABILITY_THRESHOLD
+OVERRIDES = (0.0, 0.1, 0.5, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -40,22 +45,22 @@ def corpus():
     ids=("compiled", "uncompiled"),
     autouse=True,
 )
-def compiled_predict(request):
-    """Both table states: with the flag on, the supervisor ships the
-    compiled table inside the shared segment and workers must never
-    compile; with it off, workers serve the uncompiled compact path."""
-    previous = params.COMPILED_PREDICT
-    params.COMPILED_PREDICT = request.param
-    try:
-        yield request.param
-    finally:
-        params.COMPILED_PREDICT = previous
+def precompiled(request):
+    """Whether the model's table is compiled before the cluster boots.
+
+    Either way the supervisor ships the table inside the shared segment
+    and workers must never compile.
+    """
+    return request.param
 
 
 @pytest.fixture(scope="module")
-def model(corpus, compiled_predict):
+def model(corpus, precompiled):
     train = corpus.train_sessions
-    return PopularityBasedPPM(PopularityTable.from_sessions(train)).fit(train)
+    model = PopularityBasedPPM(PopularityTable.from_sessions(train)).fit(train)
+    if precompiled:
+        model._compiled_table()
+    return model
 
 
 @pytest.fixture(scope="module")
@@ -73,13 +78,13 @@ def cluster(model):
         server.stop()
 
 
-def _expected(model, urls):
+def _expected(model, urls, threshold=THRESHOLD):
     """Per-click predictions from an in-process tracker over ``model``."""
     tracker = ClientSessionTracker(ModelRef(model), idle_timeout_s=1e12)
     out = []
     for ts, url in enumerate(urls):
         tracker.observe("x", url, float(ts))
-        predictions, _version = tracker.predict("x", threshold=THRESHOLD)
+        predictions, _version = tracker.predict("x", threshold=threshold)
         out.append(
             [
                 {
@@ -123,6 +128,31 @@ class TestMultiprocServingAgrees:
             finally:
                 http.close()
 
+    def test_threshold_overrides_match_in_process_tracker(
+        self, corpus, model, cluster
+    ):
+        """Per-request thresholds: every click is asked at each override."""
+        sessions = corpus.test_sessions[:5]
+        for index, session in enumerate(sessions):
+            expected = {t: _expected(model, session.urls, t) for t in OVERRIDES}
+            client_id = f"override-{index}"
+            http = ServeClient(cluster.host, cluster.port)
+            try:
+                for click, url in enumerate(session.urls):
+                    status, _ = http.report(client_id, url, float(click))
+                    assert status == 200
+                    for threshold in OVERRIDES:
+                        status, body = http.predict(
+                            client_id, threshold=threshold
+                        )
+                        assert status == 200
+                        assert body["predictions"] == expected[threshold][click], (
+                            f"worker diverged at threshold={threshold} on "
+                            f"session #{index} click #{click} ({url!r})"
+                        )
+            finally:
+                http.close()
+
     def test_workers_report_cluster_generation(self, cluster):
         http = ServeClient(cluster.host, cluster.port)
         try:
@@ -136,8 +166,8 @@ class TestMultiprocServingAgrees:
     def test_workers_never_compile_prediction_tables(self, cluster):
         """The compiled table travels inside the shared-memory segment:
         after a full replay's worth of served predictions, the workers'
-        own compile counter must still read zero (runs in both flag
-        states — with the table off there is nothing to compile either).
+        own compile counter must still read zero, per-request threshold
+        overrides included: they cut the shipped table's rows.
         """
         http = ServeClient(cluster.host, cluster.port)
         try:

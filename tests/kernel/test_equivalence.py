@@ -1,14 +1,17 @@
-"""Compact-kernel equivalence: both representations answer identically.
+"""Kernel equivalence: every model answers like the node-forest oracle.
 
-Every model that can build into the compact store must produce, for any
-context, the same predictions (URL, probability, order, source), the same
-statistics and the same serialised document as its node-forest twin —
-the kernel is an optimisation, never a behaviour change.
+Every model must produce, for any context and threshold, the same
+predictions (URL, probability, order, source), the same statistics, the
+same usage marks and the same serialised forest as its oracle twin in
+``tests/oracle.py`` — built click by click on :class:`TrieNode` objects
+and walked child by child.  The kernel is an optimisation, never a
+behaviour change.
 """
 
 import pytest
 
-from repro.core.extras import FirstOrderMarkov
+from repro.core.base import PPMModel
+from repro.core.extras import FirstOrderMarkov, TopNPush
 from repro.core.lrs import LRSPPM
 from repro.core.pb import PopularityBasedPPM
 from repro.core.popularity import PopularityTable
@@ -16,6 +19,7 @@ from repro.core.serialize import dump_model
 from repro.core.standard import StandardPPM
 
 from tests.helpers import FIGURE1_COUNTS, FIGURE1_SEQUENCE, make_sessions
+from tests.oracle import OracleModel, oracle_twin
 
 SEQUENCES = [
     ("A", "B", "C"),
@@ -42,45 +46,25 @@ def model_pairs():
     sessions = make_sessions(SEQUENCES)
     popularity = PopularityTable(FIGURE1_COUNTS)
     fig1 = make_sessions([FIGURE1_SEQUENCE])
-    pairs = [
-        (
-            StandardPPM(compact=True).fit(sessions),
-            StandardPPM(compact=False).fit(sessions),
-        ),
-        (
-            StandardPPM(max_height=2, compact=True).fit(sessions),
-            StandardPPM(max_height=2, compact=False).fit(sessions),
-        ),
-        (
-            LRSPPM(compact=True).fit(sessions),
-            LRSPPM(compact=False).fit(sessions),
-        ),
-        (
-            FirstOrderMarkov(compact=True).fit(sessions),
-            FirstOrderMarkov(compact=False).fit(sessions),
-        ),
+    models = [
+        (StandardPPM(), sessions),
+        (StandardPPM(max_height=2), sessions),
+        (LRSPPM(), sessions),
+        (FirstOrderMarkov(), sessions),
         (
             PopularityBasedPPM(
                 popularity,
                 grade_heights=(1, 2, 3, 4),
                 absolute_max_height=4,
                 prune_relative_probability=None,
-                compact=True,
-            ).fit(fig1),
-            PopularityBasedPPM(
-                popularity,
-                grade_heights=(1, 2, 3, 4),
-                absolute_max_height=4,
-                prune_relative_probability=None,
-                compact=False,
-            ).fit(fig1),
+            ),
+            fig1,
         ),
-        (
-            PopularityBasedPPM(popularity, compact=True).fit(fig1),
-            PopularityBasedPPM(popularity, compact=False).fit(fig1),
-        ),
+        (PopularityBasedPPM(popularity), fig1),
     ]
-    return pairs
+    return [
+        (oracle_twin(model).fit(data), model.fit(data)) for model, data in models
+    ]
 
 
 PAIRS = model_pairs()
@@ -94,11 +78,12 @@ PAIR_IDS = [
 ]
 
 
-@pytest.mark.parametrize("compact,node", PAIRS, ids=PAIR_IDS)
+@pytest.mark.parametrize("node,compact", PAIRS, ids=PAIR_IDS)
 class TestRepresentationEquivalence:
     def test_modes(self, compact, node):
-        assert compact.is_compact
-        assert not node.is_compact
+        assert isinstance(compact, PPMModel)
+        assert compact._compiled_table() is not None
+        assert isinstance(node, OracleModel)
 
     def test_node_counts_match(self, compact, node):
         assert compact.node_count == node.node_count
@@ -123,9 +108,10 @@ class TestRepresentationEquivalence:
     def test_serialised_documents_identical(self, compact, node):
         compact.reset_usage()
         node.reset_usage()
-        assert dump_model(compact) == dump_model(node)
-        # Dumping must not flip the compact model's representation.
-        assert compact.is_compact
+        document = dump_model(compact)
+        assert {
+            key: document[key] for key in ("roots", "special_links")
+        } == node.document()
 
     def test_used_path_merge_round_trip(self, compact, node):
         compact.reset_usage()
@@ -136,49 +122,28 @@ class TestRepresentationEquivalence:
 
 
 class TestMaterialisation:
-    def test_roots_access_adopts_node_mode(self):
-        model = StandardPPM(compact=True).fit(make_sessions(SEQUENCES))
-        assert model.is_compact
-        roots = model.roots
-        assert not model.is_compact
-        assert model.roots is roots  # adopted, not re-materialised
+    def test_to_node_forest_does_not_switch(self):
+        model = StandardPPM().fit(make_sessions(SEQUENCES))
+        table = model._compiled_table()
+        forest = model.to_node_forest()
+        assert set(forest) == {"A", "B", "C", "D", "E"}
+        # A view: the store and its compiled table are untouched.
+        assert model._compiled_table() is table
 
-    def test_mutations_on_adopted_forest_are_visible(self):
-        model = StandardPPM(compact=True).fit(make_sessions(SEQUENCES))
+    def test_view_mutations_never_reach_the_model(self):
+        model = StandardPPM().fit(make_sessions(SEQUENCES))
         before = model.predict(["A"], threshold=0.0, mark_used=False)
         model.roots["A"].children["B"].count += 100
-        after = model.predict(["A"], threshold=0.0, mark_used=False)
-        assert before != after
-
-    def test_to_node_forest_does_not_switch(self):
-        model = StandardPPM(compact=True).fit(make_sessions(SEQUENCES))
-        forest = model.to_node_forest()
-        assert model.is_compact
-        assert set(forest) == {"A", "B", "C", "D", "E"}
-
-    def test_to_compact_from_node_model(self):
-        node = StandardPPM(compact=False).fit(make_sessions(SEQUENCES))
-        reference = StandardPPM(compact=False).fit(make_sessions(SEQUENCES))
-        node.to_compact()
-        assert node.is_compact
-        for context in CONTEXTS:
-            assert node.predict(context, mark_used=False) == reference.predict(
-                context, mark_used=False
-            )
-
-    def test_compact_param_default_follows_params(self, monkeypatch):
-        from repro import params
-
-        monkeypatch.setattr(params, "COMPACT_MODEL_KERNEL", False)
-        assert not StandardPPM().fit(make_sessions(SEQUENCES)).is_compact
-        monkeypatch.setattr(params, "COMPACT_MODEL_KERNEL", True)
-        assert StandardPPM().fit(make_sessions(SEQUENCES)).is_compact
+        assert model.predict(["A"], threshold=0.0, mark_used=False) == before
+        assert model.roots["A"].children["B"].count < 100
 
 
-class TestNoCompactBuilder:
-    def test_topn_falls_back_to_node_forest(self):
-        from repro.core.extras import TopNPush
-
+class TestTopN:
+    def test_topn_builds_the_compact_store(self):
         model = TopNPush(n=2).fit(make_sessions(SEQUENCES))
-        assert not model.is_compact
         assert model.is_fitted
+        assert model.node_count == 2
+        predictions = model.predict(["x"], threshold=0.0)
+        assert {p.url for p in predictions} == {"A", "B"}
+        # Usage marks land on the pushed roots in the store.
+        assert sorted(model.collect_used_paths()) == [("A",), ("B",)]

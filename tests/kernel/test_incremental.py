@@ -11,6 +11,7 @@ from repro.core.standard import StandardPPM
 from repro.errors import NotFittedError
 
 from tests.helpers import FIGURE1_COUNTS, FIGURE1_SEQUENCE, make_sessions
+from tests.oracle import node_built
 
 SEQUENCES = [
     ("A", "B", "C"),
@@ -24,34 +25,29 @@ CLICK_STREAM = ["A", "B", "C", "A", "Z", "B", "C", "D", "A", "B"]
 
 
 def model_matrix():
+    """Each model fitted ("-compact") and, for the tree families, also
+    restored from its node-forest oracle build ("-node"), whose store has
+    a different node numbering and sibling order."""
     sessions = make_sessions(SEQUENCES)
     popularity = PopularityTable(FIGURE1_COUNTS)
+
+    def pb():
+        return PopularityBasedPPM(
+            popularity,
+            grade_heights=(1, 2, 3, 4),
+            absolute_max_height=4,
+            prune_relative_probability=None,
+        )
+
+    fig1 = make_sessions([FIGURE1_SEQUENCE])
     return [
-        ("standard-compact", StandardPPM(compact=True).fit(sessions)),
-        ("standard-node", StandardPPM(compact=False).fit(sessions)),
-        ("lrs-compact", LRSPPM(compact=True).fit(sessions)),
-        ("lrs-node", LRSPPM(compact=False).fit(sessions)),
-        ("markov1-compact", FirstOrderMarkov(compact=True).fit(sessions)),
-        (
-            "pb-compact",
-            PopularityBasedPPM(
-                popularity,
-                grade_heights=(1, 2, 3, 4),
-                absolute_max_height=4,
-                prune_relative_probability=None,
-                compact=True,
-            ).fit(make_sessions([FIGURE1_SEQUENCE])),
-        ),
-        (
-            "pb-node",
-            PopularityBasedPPM(
-                popularity,
-                grade_heights=(1, 2, 3, 4),
-                absolute_max_height=4,
-                prune_relative_probability=None,
-                compact=False,
-            ).fit(make_sessions([FIGURE1_SEQUENCE])),
-        ),
+        ("standard-compact", StandardPPM().fit(sessions)),
+        ("standard-node", node_built(StandardPPM(), sessions)),
+        ("lrs-compact", LRSPPM().fit(sessions)),
+        ("lrs-node", node_built(LRSPPM(), sessions)),
+        ("markov1-compact", FirstOrderMarkov().fit(sessions)),
+        ("pb-compact", pb().fit(fig1)),
+        ("pb-node", node_built(pb(), fig1)),
     ]
 
 
@@ -113,7 +109,7 @@ class TestCursorMatchesBatch:
 
 class TestInvalidation:
     def test_refit_resyncs_cursor(self):
-        model = StandardPPM(compact=True).fit(make_sessions(SEQUENCES))
+        model = StandardPPM().fit(make_sessions(SEQUENCES))
         cursor = model.prediction_cursor()
         cursor.advance("A")
         model.fit(make_sessions([("A", "X"), ("A", "X")]))
@@ -123,7 +119,13 @@ class TestInvalidation:
 
     @pytest.mark.parametrize("compact", [True, False])
     def test_online_update_resyncs_cursor(self, compact):
-        model = StandardPPM(compact=compact).fit(make_sessions(SEQUENCES))
+        # False: the model restored from its node-forest oracle build.
+        sessions = make_sessions(SEQUENCES)
+        model = (
+            StandardPPM().fit(sessions)
+            if compact
+            else node_built(StandardPPM(), sessions)
+        )
         cursor = model.prediction_cursor()
         for url in ("A", "B"):
             cursor.advance(url)
@@ -137,11 +139,10 @@ class TestInvalidation:
         )
 
     def test_materialisation_resyncs_cursor(self):
-        model = StandardPPM(compact=True).fit(make_sessions(SEQUENCES))
+        model = StandardPPM().fit(make_sessions(SEQUENCES))
         cursor = model.prediction_cursor()
         cursor.advance("A")
-        _ = model.roots  # adopts the node representation
-        assert not model.is_compact
+        _ = model.roots  # a read-only view: the cursor stays in sync
         assert model.predict_cursor(
             cursor, threshold=0.0, mark_used=False
         ) == model.predict(["A"], threshold=0.0, mark_used=False)

@@ -1,9 +1,9 @@
 """Unit tests for the compiled prediction-table kernel.
 
-The differential suites prove the compiled dispatch agrees with every
-other prediction path over whole synthetic corpora; this file pins the
-table itself on a hand-built store where every row, probability and
-transition can be checked against numbers computed by inspection.
+The differential suites prove the compiled table agrees with the
+node-forest oracle over whole synthetic corpora; this file pins the table
+itself on a hand-built store where every row, probability, per-threshold
+cut and transition can be checked against numbers computed by inspection.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro import params
+from repro.core.prediction import clears_threshold
 from repro.core.pb import PopularityBasedPPM
 from repro.core.popularity import PopularityTable
 from repro.errors import ModelError
@@ -35,8 +36,8 @@ def weighted_paths() -> list[tuple[tuple[str, ...], int]]:
     # Root A (count 8): children B 6/8=0.75, C 2/8=0.25 — both qualify
     # at 0.25 and must come out sorted by descending probability.
     # Node A/B (count 6): children X and Y at 3/6=0.5 each — an exact
-    # probability tie that must break by URL.  Z at 0 would divide to
-    # 0.0 and must be filtered.  Root D (count 1): child E at 1.0.
+    # probability tie that must break by URL.  Root D (count 1): child E
+    # at 1.0.
     return [
         (("A", "B", "X"), 3),
         (("A", "B", "Y"), 3),
@@ -53,18 +54,18 @@ def build_store() -> tuple[CompactTrie, SymbolTable]:
     return store, symbols
 
 
-def compile_built(**overrides):
+def compile_built():
     store, symbols = build_store()
-    table = compile_predict_table(store, symbols, **overrides)
-    assert table is not None
-    return store, symbols, table
+    return store, symbols, compile_predict_table(store, symbols)
 
 
 class TestCompile:
     def test_rows_hold_qualifying_children_sorted(self):
-        store, symbols, table = compile_built(threshold=0.25)
+        store, symbols, table = compile_built()
         root_a = store.roots[symbols.get("A")]
-        predictions, children = table.context_row(root_a, 1, symbols.url)
+        predictions, children = table.context_row(
+            root_a, 1, 0.25, symbols.url
+        )
         assert [(p.url, p.probability) for p in predictions] == [
             ("B", 0.75),
             ("C", 0.25),
@@ -77,44 +78,58 @@ class TestCompile:
         ]
 
     def test_probability_ties_break_by_url(self):
-        store, symbols, table = compile_built(threshold=0.25)
+        store, symbols, table = compile_built()
         root_a = store.roots[symbols.get("A")]
         node_b = store.child(root_a, symbols.get("B"))
-        predictions, _children = table.context_row(node_b, 2, symbols.url)
+        predictions, _children = table.context_row(
+            node_b, 2, 0.25, symbols.url
+        )
         assert [(p.url, p.probability) for p in predictions] == [
             ("X", 0.5),
             ("Y", 0.5),
         ]
 
-    def test_below_threshold_children_are_dropped_at_compile_time(self):
-        store, symbols, table = compile_built(threshold=0.5)
+    def test_below_threshold_children_are_cut_at_request_time(self):
+        store, symbols, table = compile_built()
         root_a = store.roots[symbols.get("A")]
-        predictions, _children = table.context_row(root_a, 1, symbols.url)
-        # At 0.5 only B (0.75) survives; C (0.25) was filtered when the
-        # row was built, not at request time.
-        assert [p.url for p in predictions] == ["B"]
+        # The row holds every child; a request at 0.5 keeps only B (0.75)
+        # and a request at 0 keeps C (0.25) too.
+        assert len(table.ctx_sym) == store.node_count - 2  # all but roots
+        cut = table.context_row(root_a, 1, 0.5, symbols.url)[0]
+        assert [p.url for p in cut] == ["B"]
+        full = table.context_row(root_a, 1, 0.0, symbols.url)[0]
+        assert [p.url for p in full] == ["B", "C"]
+
+    @pytest.mark.parametrize(
+        "threshold", [0.0, 0.05, 0.1, 0.25, 0.5, 0.75, 0.76, 1.0]
+    )
+    def test_any_threshold_cuts_a_prefix_of_the_row(self, threshold):
+        store, symbols, table = compile_built()
+        for idx in range(store.node_count):
+            lo, hi = int(table.ctx_offsets[idx]), int(table.ctx_offsets[idx + 1])
+            row = table.ctx_prob[lo:hi].tolist()
+            want = [p for p in row if clears_threshold(p, threshold)]
+            got = table.context_row(idx, 1, threshold, symbols.url)[0]
+            assert [p.probability for p in got] == want
 
     def test_leaf_rows_are_empty(self):
         store, symbols, table = compile_built()
         root_a = store.roots[symbols.get("A")]
         node_c = store.child(root_a, symbols.get("C"))
-        assert table.context_row(node_c, 1, symbols.url) == ((), ())
+        assert table.context_row(node_c, 1, 0.0, symbols.url) == ((), ())
 
     def test_rows_are_cached_and_shared(self):
         store, symbols, table = compile_built()
         root_a = store.roots[symbols.get("A")]
-        first = table.context_row(root_a, 1, symbols.url)
-        assert table.context_row(root_a, 1, symbols.url) is first
+        first = table.context_row(root_a, 1, 0.25, symbols.url)
+        assert table.context_row(root_a, 1, 0.25, symbols.url) is first
         # A different order is a different cached row.
-        other = table.context_row(root_a, 3, symbols.url)
+        other = table.context_row(root_a, 3, 0.25, symbols.url)
         assert other is not first
         assert [p.order for p in other[0]] == [3, 3]
-
-    def test_covers_only_the_compiled_threshold(self):
-        _store, _symbols, table = compile_built(threshold=0.25)
-        assert table.covers(0.25)
-        assert not table.covers(0.3)
-        assert not table.covers(0.2)
+        # So is a different threshold, whose cut is a prefix of the row.
+        cut = table.context_row(root_a, 1, 0.5, symbols.url)
+        assert cut[0] == first[0][:1]
 
     def test_compile_refuses_non_dense_stores(self):
         store, symbols = build_store()
@@ -123,7 +138,8 @@ class TestCompile:
         # densification.
         prune_compact_by_absolute_count(store, max_count=2)
         assert len(store.syms) != store.node_count
-        assert compile_predict_table(store, symbols) is None
+        with pytest.raises(ValueError):
+            compile_predict_table(store, symbols)
         # The dense copy compiles fine.
         dense = store.compacted()
         assert compile_predict_table(dense, symbols) is not None
@@ -147,10 +163,10 @@ class TestSpecialRows:
         node_e = store.child(root_d, symbols.get("E"))
         # Two links to nodes with the same symbol would aggregate; here
         # X (3) and Y (3) aggregate separately, E (1) lands on 1/8 and
-        # must be dropped by a 0.2 special threshold.
+        # must be cut by a 0.2 special threshold.
         store.special_links[root_a] = [node_x, node_y, node_e]
-        table = compile_predict_table(store, symbols, special_threshold=0.2)
-        predictions, groups = table.special_row(root_a, symbols.url)
+        table = compile_predict_table(store, symbols)
+        predictions, groups = table.special_row(root_a, 0.2, symbols.url)
         assert [(p.url, p.probability) for p in predictions] == [
             ("X", 3 / 8),
             ("Y", 3 / 8),
@@ -159,6 +175,10 @@ class TestSpecialRows:
         assert all(p.order == 0 for p in predictions)
         # Parallel linked-node groups feed usage marking.
         assert groups == ((node_x,), (node_y,))
+        # At threshold 0 the row keeps E as well.
+        predictions, groups = table.special_row(root_a, 0.0, symbols.url)
+        assert [p.url for p in predictions] == ["X", "Y", "E"]
+        assert groups[-1] == (node_e,)
 
     def test_duplicate_linked_symbols_aggregate_into_one_row(self):
         store = CompactTrie()
@@ -170,8 +190,8 @@ class TestSpecialRows:
         s_under_r = store.child(root_r, symbols.get("S"))
         s_under_q = store.child(root_q, symbols.get("S"))
         store.special_links[root_r] = [s_under_r, s_under_q]
-        table = compile_predict_table(store, symbols, special_threshold=0.05)
-        predictions, groups = table.special_row(root_r, symbols.url)
+        table = compile_predict_table(store, symbols)
+        predictions, groups = table.special_row(root_r, 0.05, symbols.url)
         # (4 + 2) / 4 clamps to 1.0, one row, both nodes in its group.
         assert [(p.url, p.probability) for p in predictions] == [("S", 1.0)]
         assert groups == ((s_under_r, s_under_q),)
@@ -179,7 +199,7 @@ class TestSpecialRows:
     def test_roots_without_links_have_empty_rows(self):
         store, symbols, table = compile_built()
         root_d = store.roots[symbols.get("D")]
-        assert table.special_row(root_d, symbols.url) == ((), ())
+        assert table.special_row(root_d, 0.0, symbols.url) == ((), ())
 
 
 class TestTransitions:
@@ -230,8 +250,6 @@ class TestBufferPlane:
         store, symbols, table = compile_built()
         blob = table.to_buffer()
         twin = PredictTable.from_buffer(blob)
-        assert twin.threshold == table.threshold
-        assert twin.special_threshold == table.special_threshold
         assert twin.node_count == table.node_count
         for name in (
             "ctx_offsets",
@@ -250,9 +268,9 @@ class TestBufferPlane:
                 getattr(twin, name), getattr(table, name)
             )
         root_a = store.roots[symbols.get("A")]
-        assert twin.context_row(root_a, 1, symbols.url) == table.context_row(
-            root_a, 1, symbols.url
-        )
+        assert twin.context_row(
+            root_a, 1, 0.25, symbols.url
+        ) == table.context_row(root_a, 1, 0.25, symbols.url)
 
     def test_mapped_arrays_are_zero_copy_views(self):
         _store, _symbols, table = compile_built()
@@ -314,13 +332,8 @@ class TestModelDispatch:
                 ("D", "E"),
             ]
         )
-        previous = params.COMPILED_PREDICT
-        params.COMPILED_PREDICT = True
-        try:
-            popularity = PopularityTable.from_sessions(sessions)
-            yield PopularityBasedPPM(popularity).fit(sessions)
-        finally:
-            params.COMPILED_PREDICT = previous
+        popularity = PopularityTable.from_sessions(sessions)
+        return PopularityBasedPPM(popularity).fit(sessions)
 
     def test_model_caches_one_table_per_store_state(self, fitted):
         before = predict_table_module.COMPILE_COUNT
@@ -339,24 +352,26 @@ class TestModelDispatch:
         assert predict_table_module.COMPILE_COUNT == compiles + 1
         assert {p.url for p in after} >= {"F"}
 
-    def test_uncovered_thresholds_fall_back_to_the_trie_walk(self, fitted):
+    def test_every_threshold_answers_from_one_table(self, fitted):
         compiles = predict_table_module.COMPILE_COUNT
-        via_table = fitted.predict(
-            ("A",), threshold=THRESHOLD, mark_used=False
-        )
-        odd_threshold = THRESHOLD + 0.07
-        fallback = fitted.predict(
-            ("A",), threshold=odd_threshold, mark_used=False
-        )
-        params_flag = params.COMPILED_PREDICT
-        params.COMPILED_PREDICT = False
-        try:
-            uncompiled = fitted.predict(
-                ("A",), threshold=odd_threshold, mark_used=False
+        sweep = [0.0, 0.05, 0.1, THRESHOLD, THRESHOLD + 0.07, 0.5, 1.0]
+        answers = {
+            threshold: fitted.predict(
+                ("A",), threshold=threshold, mark_used=False
             )
-        finally:
-            params.COMPILED_PREDICT = params_flag
-        assert fallback == uncompiled
-        assert {p.url for p in via_table} >= {p.url for p in fallback}
-        # The off-threshold query must not have triggered a recompile.
+            for threshold in sweep
+        }
+        # One compile serves the whole sweep, and every answer is the
+        # threshold-0 answer cut at that threshold.
         assert predict_table_module.COMPILE_COUNT == compiles + 1
+        full = answers[0.0]
+        for threshold, got in answers.items():
+            want = [
+                p for p in full
+                if p.source == "special_link"
+                or clears_threshold(p.probability, threshold)
+            ]
+            assert got == want
+        assert {p.url for p in answers[THRESHOLD]} > {
+            p.url for p in answers[THRESHOLD + 0.07]
+        }

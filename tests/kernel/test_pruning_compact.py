@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.node import TrieNode
-from repro.core.pruning import prune_by_absolute_count, prune_by_relative_probability
+from tests.oracle import prune_by_absolute_count, prune_by_relative_probability
 from repro.kernel.compact import CompactTrie
 from repro.kernel.prune import (
     prune_compact_by_absolute_count,

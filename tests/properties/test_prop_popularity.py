@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 
 from repro.core.node import TrieNode
 from repro.core.popularity import PopularityTable, grade_of_relative_popularity
-from repro.core.pruning import (
-    prune_by_absolute_count,
-    prune_by_relative_probability,
-)
 from repro.core.standard import StandardPPM
 from repro.core.stats import node_count
+from repro.kernel.prune import (
+    prune_compact_by_absolute_count,
+    prune_compact_by_relative_probability,
+)
 
 from tests.helpers import make_sessions
 
@@ -66,7 +66,7 @@ def test_relative_pruning_reduces_and_preserves_roots(corpus, cutoff):
     model = StandardPPM().fit(make_sessions(corpus))
     roots_before = set(model.roots)
     before = model.node_count
-    removed = prune_by_relative_probability(model.roots, cutoff=cutoff)
+    removed = prune_compact_by_relative_probability(model._store, cutoff=cutoff)
     assert model.node_count == before - removed
     assert set(model.roots) == roots_before  # this pass never drops roots
 
@@ -75,7 +75,7 @@ def test_relative_pruning_reduces_and_preserves_roots(corpus, cutoff):
 @settings(max_examples=100, deadline=None)
 def test_absolute_pruning_removes_exactly_the_low_count_nodes(corpus, max_count):
     model = StandardPPM().fit(make_sessions(corpus))
-    removed = prune_by_absolute_count(model.roots, max_count=max_count)
+    removed = prune_compact_by_absolute_count(model._store, max_count=max_count)
     for node in model.iter_nodes():
         assert node.count > max_count
     assert removed >= 0
@@ -85,7 +85,7 @@ def test_absolute_pruning_removes_exactly_the_low_count_nodes(corpus, max_count)
 @settings(max_examples=100, deadline=None)
 def test_surviving_children_meet_the_cutoff(corpus, cutoff):
     model = StandardPPM().fit(make_sessions(corpus))
-    prune_by_relative_probability(model.roots, cutoff=cutoff)
+    prune_compact_by_relative_probability(model._store, cutoff=cutoff)
     for node in model.iter_nodes():
         for child in node.children.values():
             if node.count:

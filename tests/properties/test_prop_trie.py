@@ -7,8 +7,10 @@ from repro.core.lrs import LRSPPM, mine_longest_repeating_subsequences
 from repro.core.pb import PopularityBasedPPM
 from repro.core.popularity import PopularityTable
 from repro.core.standard import StandardPPM
+from repro.core.stats import leaf_paths
 
 from tests.helpers import make_sessions
+from tests.oracle import frequent_subsequence_forest
 
 # Small URL alphabets force collisions, which is where trie logic lives.
 urls = st.sampled_from(["a", "b", "c", "d", "e"])
@@ -86,6 +88,23 @@ def test_lrs_patterns_actually_occur_often_enough(corpus):
                 if tuple(sequence[start : start + len(pattern)]) == pattern:
                     occurrences += 1
         assert occurrences >= 2
+
+
+@given(
+    corpora,
+    st.integers(min_value=2, max_value=3),
+    st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
+)
+@settings(max_examples=60, deadline=None)
+def test_lrs_patterns_match_the_apriori_oracle(corpus, min_repeats, max_length):
+    """The bulk n-gram count filter mines exactly the Apriori patterns."""
+    sequences = [tuple(s) for s in corpus]
+    oracle = frequent_subsequence_forest(
+        sequences, min_repeats=min_repeats, max_length=max_length
+    )
+    assert mine_longest_repeating_subsequences(
+        sequences, min_repeats=min_repeats, max_length=max_length
+    ) == list(leaf_paths(oracle))
 
 
 @given(corpora)

@@ -86,6 +86,29 @@ class TestValidation:
         status, _ = client.json("GET", "/predict?client=c1&threshold=high")
         assert status == 400
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "-0.1", "1.5"])
+    def test_predict_rejects_thresholds_outside_unit_interval(
+        self, client, threshold
+    ):
+        status, payload = client.json(
+            "GET", f"/predict?client=c1&threshold={threshold}"
+        )
+        assert status == 400
+        assert "threshold" in payload["error"]
+        # The combined report+predict route validates the same way.
+        status, _ = client.report(
+            "c1", "A", 0.0, predict=1, threshold=threshold
+        )
+        assert status == 400
+
+    @pytest.mark.parametrize("threshold", ["0", "1"])
+    def test_predict_accepts_the_closed_unit_interval(self, client, threshold):
+        client.report("c1", "A", 0.0)
+        status, _ = client.json(
+            "GET", f"/predict?client=c1&threshold={threshold}"
+        )
+        assert status == 200
+
     def test_unknown_path_404(self, client):
         status, _ = client.json("GET", "/nope")
         assert status == 404

@@ -35,6 +35,15 @@ class TestWriteLoadRoundTrip:
                 context, mark_used=False
             )
 
+    def test_restored_model_serves_from_the_compiled_table(self, tmp_path):
+        from repro.kernel.predict_table import PredictTable
+
+        model = fitted_model()
+        path = str(tmp_path / "model.json")
+        write_snapshot(model, path)
+        for clone in (load_snapshot(path), restore_snapshot_state(path)[0]):
+            assert isinstance(clone._compiled_table(), PredictTable)
+
     def test_write_creates_directories(self, tmp_path):
         path = str(tmp_path / "deep" / "nested" / "model.json")
         write_snapshot(fitted_model(), path)

@@ -193,3 +193,17 @@ class TestArgumentErrors:
     def test_no_command_exits_nonzero(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-0.1", "1.5"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["predict", "nasa-like", "/e0/"], ["loadgen", "--spawn"]],
+        ids=["predict", "loadgen"],
+    )
+    def test_threshold_outside_unit_interval_is_an_argument_error(
+        self, capsys, argv, threshold
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, f"--threshold={threshold}"])
+        assert excinfo.value.code == 2
+        assert "threshold" in capsys.readouterr().err

@@ -46,11 +46,13 @@ FLOAT_METRICS = (
 FLOAT_RTOL = 1e-6
 
 
-def compute_cells() -> dict[str, dict[str, float | int]]:
+def compute_cells(precompile: bool = False) -> dict[str, dict[str, float | int]]:
     lab = WorkloadLab("nasa-like", total_days=3, seed=7, scale=0.1)
     cells: dict[str, dict[str, float | int]] = {}
     for model_key in MODELS:
         for days in TRAIN_DAYS:
+            if precompile:
+                lab.model(model_key, days)._compiled_table()
             run = lab.run(model_key, days)
             cells[f"{model_key}/train_days={days}"] = {
                 **{name: getattr(run, name) for name in INT_METRICS},
@@ -65,22 +67,21 @@ def compute_cells() -> dict[str, dict[str, float | int]]:
     ids=("columnar-compiled", "columnar-uncompiled", "object-compiled"),
 )
 def cells(request) -> dict[str, dict[str, float | int]]:
-    """Golden cells computed through both trace pipelines and both
-    prediction dispatches.
+    """Golden cells computed through both trace pipelines, with each
+    model's prediction table compiled before its replay ("compiled") or
+    by the replay's first prediction ("uncompiled").
 
-    The snapshot is pipeline-independent: the columnar plane, the object
-    path, the compiled prediction table and the uncompiled trie walk must
-    all land on the same committed numbers.  (The object-uncompiled combo
-    is the pre-kernel base case already pinned by the unit suites.)
+    The snapshot is pipeline-independent: the columnar plane and the
+    object path must land on the same committed numbers, whenever the
+    table is built.
     """
-    columnar, compiled = request.param
-    previous = (params.COLUMNAR_TRACE, params.COMPILED_PREDICT)
+    columnar, precompile = request.param
+    previous = params.COLUMNAR_TRACE
     params.COLUMNAR_TRACE = columnar
-    params.COMPILED_PREDICT = compiled
     try:
-        return compute_cells()
+        return compute_cells(precompile)
     finally:
-        params.COLUMNAR_TRACE, params.COMPILED_PREDICT = previous
+        params.COLUMNAR_TRACE = previous
 
 
 @pytest.fixture(scope="module")
