@@ -18,7 +18,7 @@ Measures the tentpole claims of the ``repro.sampling`` subsystem:
 2,000,000 — the full acceptance run; CI uses 150,000).  Results merge
 into ``benchmarks/results/BENCH_sampling.json`` and are gated against
 ``benchmarks/baselines/BENCH_sampling.json`` by
-``check_sampling_regression.py``.
+``check_regression.py sampling``.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ over provably identical work.
 events — the full acceptance run); CI smoke runs set it low and assert a
 looser floor.  Results merge into ``benchmarks/results/BENCH_trace.json``
 and are gated against ``benchmarks/baselines/BENCH_trace.json`` by
-``check_trace_regression.py``.
+``check_regression.py trace``.
 """
 
 from __future__ import annotations

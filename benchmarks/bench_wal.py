@@ -16,7 +16,7 @@ Measures the costs the durability tentpole is allowed to charge:
 ``REPRO_WAL_BENCH_EVENTS`` bounds the loadgen replays (default 20,000
 page views; CI smoke uses 4,000).  Results merge into
 ``benchmarks/results/BENCH_wal.json`` and are gated against
-``benchmarks/baselines/BENCH_wal.json`` by ``check_wal_regression.py``.
+``benchmarks/baselines/BENCH_wal.json`` by ``check_regression.py wal``.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ Measures the tentpole claims of the ``repro.workloads`` subsystem:
 bounds the grid (default 150,000 events per scenario).  Results merge
 into ``benchmarks/results/BENCH_workloads.json`` and are gated against
 ``benchmarks/baselines/BENCH_workloads.json`` by
-``check_workload_regression.py``.
+``check_regression.py workload``.
 """
 
 from __future__ import annotations

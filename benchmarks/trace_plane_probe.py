@@ -4,7 +4,8 @@ Run as ``python benchmarks/trace_plane_probe.py <object|columnar> <path>``;
 the process executes one end-to-end replay-preparation pipeline — load the
 trace, derive page views and sessions, count popularity, split off the
 last day and build its replay input — through the requested implementation
-and prints one JSON line:
+(``object``: the object-pipeline oracle in ``tests/oracle.py``;
+``columnar``: the library's trace plane) and prints one JSON line:
 
 * ``seconds`` — wall-clock of the pipeline (imports and file generation
   excluded; they happen before the clock starts);
@@ -23,8 +24,12 @@ from __future__ import annotations
 
 import json
 import math
+import pathlib
 import sys
 import time
+
+# The object probe runs the test oracle, importable from the repo root.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
 
 def rss_kb(field: str = "VmHWM") -> int:
@@ -37,17 +42,15 @@ def rss_kb(field: str = "VmHWM") -> int:
 
 def probe_object(path: str) -> dict:
     """The parser-fed reference pipeline over LogRecord/Request objects."""
-    from repro import params
-    from repro.sim.engine import request_sort_key
-    from repro.trace.dataset import Trace
+    from repro.trace.clf_parser import iter_clf_file
+    from tests.oracle import object_trace, replay_order
 
-    params.COLUMNAR_TRACE = False
-    trace = Trace.from_clf_file(path)
+    trace = object_trace(iter_clf_file(path))
     sessions = trace.sessions
     popularity = trace.url_access_counts()
     sizes = trace.url_size_table()
     split = trace.split(trace.num_days - 1)
-    test = sorted(split.test_requests, key=request_sort_key)
+    test = replay_order(split.test_requests)
     return {
         "records": len(trace),
         "requests": len(trace.requests),

@@ -567,7 +567,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VALUE",
         help="workload parameter override (repeatable)",
     )
-    loadgen.add_argument("--days", type=int, default=1)
+    loadgen.add_argument("--days", type=_count_value, default=1)
     loadgen.add_argument("--train-days", type=int, default=2)
     loadgen.add_argument("--seed", type=_seed_value, default=7)
     loadgen.add_argument("--scale", type=_scale_value, default=1.0)
@@ -614,7 +614,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--seed", type=_seed_value, default=7)
     chaos.add_argument("--profile", default="nasa-like")
     chaos.add_argument("--scale", type=_scale_value, default=0.3)
-    chaos.add_argument("--days", type=int, default=1)
+    chaos.add_argument("--days", type=_count_value, default=1)
     chaos.add_argument("--train-days", type=int, default=1)
     chaos.add_argument("--connections", type=int, default=6)
     chaos.add_argument("--max-events", type=int, default=400)

@@ -304,13 +304,11 @@ class WorkloadLab:
             config,
             popularity=self.popularity(train_days),
         )
-        split = self.split(train_days)
+        test = self.trace.request_batch_for_days(self.split(train_days).test_days)
         if topology == "client":
-            result = simulator.run(
-                split.test_requests, client_kinds=self.client_kinds
-            )
+            result = simulator.run(test, client_kinds=self.client_kinds)
         elif topology == "proxy":
-            result = simulator.run_proxy(split.test_requests, clients=clients)
+            result = simulator.run_proxy(test, clients=clients)
         else:
             raise ExperimentError(f"unknown topology {topology!r}")
         result.labels.update(

@@ -10,7 +10,7 @@ and ``tests/parallel/`` for the equivalence contract.
 
 from repro.parallel.engine import ParallelPrefetchSimulator, resolve_workers
 from repro.parallel.merge import merge_outcomes
-from repro.parallel.sharding import ShardPlan, shard_by_client
+from repro.parallel.sharding import ShardPlan, shard_batch_by_client
 from repro.parallel.worker import ShardOutcome, ShardTask, replay_shard
 
 __all__ = [
@@ -21,5 +21,5 @@ __all__ = [
     "merge_outcomes",
     "replay_shard",
     "resolve_workers",
-    "shard_by_client",
+    "shard_batch_by_client",
 ]

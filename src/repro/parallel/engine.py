@@ -51,7 +51,7 @@ from typing import Mapping, Sequence
 from repro import params
 from repro.errors import ReplayInterrupted
 from repro.parallel.merge import merge_outcomes, merge_used_paths
-from repro.parallel.sharding import shard_client_kinds, shard_requests
+from repro.parallel.sharding import shard_batch_by_client, shard_client_kinds
 from repro.parallel.worker import (
     ShardOutcome,
     ShardTask,
@@ -121,7 +121,7 @@ class ParallelPrefetchSimulator(PrefetchSimulator):
 
     def _build_tasks(
         self,
-        shards: "Sequence[Sequence[Request] | RequestBatch]",
+        shards: Sequence[RequestBatch],
         kind_subsets: Sequence[Mapping[str, str]],
     ) -> list[ShardTask]:
         return [
@@ -132,9 +132,7 @@ class ParallelPrefetchSimulator(PrefetchSimulator):
                 latency_model=self.latency_model,
                 config=self.config,
                 popularity=self.popularity,
-                requests=(
-                    shard if isinstance(shard, RequestBatch) else list(shard)
-                ),
+                requests=shard,
                 client_kinds=dict(kind_subsets[index]),
                 want_events=self.event_log is not None,
                 fault_plan=faults.active_plan(),
@@ -275,14 +273,17 @@ class ParallelPrefetchSimulator(PrefetchSimulator):
     ) -> SimulationResult:
         """Sharded client-mode replay, bit-identical to the serial engine.
 
-        A columnar :class:`~repro.trace.columnar.RequestBatch` shards by
-        row ranges — workers receive a few array pickles instead of a
-        request-object list — and replays to the same merged result.
+        The workload is a columnar
+        :class:`~repro.trace.columnar.RequestBatch` (request objects are
+        converted once, as in the serial engine); it shards by row ranges,
+        so workers receive a few array pickles each.
         """
+        if not isinstance(requests, RequestBatch):
+            requests = RequestBatch.from_requests(requests)
         workers = resolve_workers(self.config.workers)
         if workers <= 1:
             return super().run(requests, client_kinds=client_kinds)
-        plan = shard_requests(requests, workers)
+        plan = shard_batch_by_client(requests, workers)
         if plan.shard_count <= 1:
             logger.debug(
                 "only %d client shard(s); replaying serially", plan.shard_count
@@ -310,7 +311,7 @@ class ParallelPrefetchSimulator(PrefetchSimulator):
 
     def run_proxy(
         self,
-        requests: Sequence[Request],
+        requests: "Sequence[Request] | RequestBatch",
         *,
         clients: Sequence[str] | None = None,
     ) -> SimulationResult:

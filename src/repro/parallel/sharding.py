@@ -17,12 +17,11 @@ the typical heavy-tailed client-size distribution of Web traces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.trace.columnar import RequestBatch
-from repro.trace.record import Request
 
 
 @dataclass(frozen=True)
@@ -32,17 +31,15 @@ class ShardPlan:
     Attributes
     ----------
     shards:
-        Per-shard workloads: request tuples (object path) or row-range
-        :class:`~repro.trace.columnar.RequestBatch` slices (columnar
-        path).  Within a shard, each client's requests keep their
-        original order (the serial engine's stable sort re-orders
-        identically either way).  Empty shards are dropped, so
-        ``len(shards)`` may be below the requested shard count.
+        Per-shard row-range :class:`~repro.trace.columnar.RequestBatch`
+        slices, each in replay order.  No shard is empty: the shard count
+        is capped at the number of clients, so ``len(shards)`` may be
+        below the requested shard count.
     client_to_shard:
         Shard index each client was assigned to.
     """
 
-    shards: "tuple[tuple[Request, ...] | RequestBatch, ...]"
+    shards: tuple[RequestBatch, ...]
     client_to_shard: Mapping[str, int]
 
     @property
@@ -50,47 +47,16 @@ class ShardPlan:
         return len(self.shards)
 
 
-def shard_by_client(
-    requests: Iterable[Request], num_shards: int
-) -> ShardPlan:
-    """Partition requests into at most ``num_shards`` per-client shards.
-
-    The assignment is a pure function of the request stream and the shard
-    count: clients are ordered by (request count descending, client id)
-    and greedily placed on the least-loaded shard (ties broken by shard
-    index), so repeated calls — and different machines — shard alike.
-    """
-    if num_shards < 1:
-        raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-    by_client: dict[str, list[Request]] = {}
-    for request in requests:
-        by_client.setdefault(request.client, []).append(request)
-
-    ordered = sorted(
-        by_client, key=lambda client: (-len(by_client[client]), client)
-    )
-    loads = [0] * min(num_shards, len(ordered)) or [0]
-    buckets: list[list[Request]] = [[] for _ in loads]
-    assignment: dict[str, int] = {}
-    for client in ordered:
-        index = min(range(len(loads)), key=lambda i: (loads[i], i))
-        assignment[client] = index
-        loads[index] += len(by_client[client])
-        buckets[index].extend(by_client[client])
-
-    shards = tuple(tuple(bucket) for bucket in buckets if bucket)
-    return ShardPlan(shards=shards, client_to_shard=assignment)
-
-
 def shard_batch_by_client(batch: RequestBatch, num_shards: int) -> ShardPlan:
     """Partition a columnar batch into per-client row-range shards.
 
-    Runs the *same* greedy assignment as :func:`shard_by_client` — clients
-    by (count descending, client id) onto the least-loaded shard — so the
-    partition is identical for the same workload; but each shard is a
-    :class:`RequestBatch` sliced by row indices (a handful of array
-    pickles) instead of a list of request objects.  Slicing by ascending
-    row index preserves replay order within every shard.
+    The assignment is a pure function of the batch and the shard count:
+    clients are ordered by (request count descending, client id) and
+    greedily placed on the least-loaded shard (ties broken by shard
+    index), so repeated calls — and different machines — shard alike.
+    Each shard is a :class:`RequestBatch` sliced by row indices (a handful
+    of array pickles); slicing by ascending row index preserves replay
+    order within every shard.
     """
     if num_shards < 1:
         raise ValueError(f"num_shards must be >= 1, got {num_shards}")
@@ -116,15 +82,6 @@ def shard_batch_by_client(batch: RequestBatch, num_shards: int) -> ShardPlan:
         for index in range(len(loads))
     )
     return ShardPlan(shards=shards, client_to_shard=assignment)
-
-
-def shard_requests(
-    requests: "Iterable[Request] | RequestBatch", num_shards: int
-) -> ShardPlan:
-    """Shard either workload form with the same deterministic partition."""
-    if isinstance(requests, RequestBatch):
-        return shard_batch_by_client(requests, num_shards)
-    return shard_by_client(requests, num_shards)
 
 
 def shard_client_kinds(

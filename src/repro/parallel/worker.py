@@ -24,19 +24,18 @@ import os
 import signal
 import time
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.core.base import PPMModel
 from repro.core.popularity import PopularityTable
 from repro.errors import WorkerCrash
 from repro.resilience.faults import FaultPlan
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import PrefetchSimulator, request_sort_key
+from repro.sim.engine import PrefetchSimulator
 from repro.sim.events import EventLog, SimulationEvent
 from repro.sim.latency import LatencyModel
 from repro.sim.metrics import SimulationResult
 from repro.trace.columnar import RequestBatch
-from repro.trace.record import Request
 
 
 def _sigterm_exit(signum, frame) -> None:  # pragma: no cover - in workers
@@ -71,7 +70,7 @@ class ShardTask:
     latency_model: LatencyModel
     config: SimulationConfig
     popularity: PopularityTable | None
-    requests: "Sequence[Request] | RequestBatch"
+    requests: RequestBatch
     client_kinds: Mapping[str, str]
     want_events: bool
     #: The parent's fault plan, shipped into the worker process (None in
@@ -125,20 +124,13 @@ def replay_shard(task: ShardTask) -> ShardOutcome:
         event_log=event_log,
     )
     result = simulator.run(task.requests, client_kinds=task.client_kinds)
-    if isinstance(task.requests, RequestBatch):
-        keys = task.requests.replay_keys()
-    else:
-        keys = [
-            request_sort_key(request)
-            for request in sorted(task.requests, key=request_sort_key)
-        ]
     used_paths = (
         task.model.collect_used_paths() if task.model is not None else []
     )
     return ShardOutcome(
         index=task.index,
         result=result,
-        request_keys=keys,
+        request_keys=task.requests.replay_keys(),
         used_paths=used_paths,
         events=list(event_log) if event_log is not None else None,
     )

@@ -138,20 +138,8 @@ TRUE_TRANSFER_RATE_BPS: float = 64_000.0
 SPECIAL_LINK_THRESHOLD: float = 0.05
 
 # --------------------------------------------------------------------------
-# Model kernel and trace plane (not paper constants; see repro.kernel)
+# Model kernel (not paper constants; see repro.kernel)
 # --------------------------------------------------------------------------
-
-#: When True (the default), :class:`repro.trace.dataset.Trace` runs its
-#: derivation pipeline — successful-GET filtering, the deterministic
-#: (timestamp, client, url) sort, the embedded-object fold, sessionisation,
-#: popularity counting and day splitting — as batched NumPy passes over the
-#: interned columns of :mod:`repro.trace.columnar` instead of per-record
-#: Python loops.  Every derived object (records, requests, sessions, splits)
-#: is bit-identical either way; the columnar plane is just 10x+ faster and
-#: keeps multi-million-event traces in flat memory.  The flag is read once
-#: when a ``Trace`` is constructed, so flipping it never changes an existing
-#: trace mid-computation.
-COLUMNAR_TRACE: bool = True
 
 #: Shared absolute tolerance for probability-vs-threshold comparisons in the
 #: prediction engine.  Conditional probabilities are exact ratios of small

@@ -20,7 +20,7 @@ exactly what prefetching added on top of plain LRU caching.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.core.base import PPMModel
 from repro.core.popularity import PopularityTable
@@ -33,41 +33,6 @@ from repro.sim.latency import LatencyModel
 from repro.sim.metrics import SimulationResult
 from repro.trace.columnar import RequestBatch
 from repro.trace.record import Request
-
-#: What the engine accepts as a replay workload: materialised request
-#: objects, or the columnar :class:`~repro.trace.columnar.RequestBatch`.
-RequestStream = "Sequence[Request] | RequestBatch"
-
-
-def request_sort_key(request: Request) -> tuple[float, str]:
-    """The engine's deterministic replay order: (timestamp, client).
-
-    Exposed so :mod:`repro.parallel` can reproduce the serial iteration
-    order exactly when merging per-shard streams; Python's sort is stable,
-    so requests with equal keys keep their input order (which sharding by
-    client preserves, because equal keys always belong to one client).
-    """
-    return (request.timestamp, request.client)
-
-
-def replay_rows(
-    requests: "Sequence[Request] | RequestBatch",
-) -> Iterator[tuple[str, str, float, int]]:
-    """Yield ``(client, url, timestamp, total_bytes)`` in replay order.
-
-    The single iteration point of both replay loops: a
-    :class:`RequestBatch` streams its pre-sorted columns directly (no
-    object materialisation, no sort), while request sequences are
-    stable-sorted by :func:`request_sort_key` exactly as before.  Either
-    source yields the identical row sequence for the same workload.
-    """
-    if isinstance(requests, RequestBatch):
-        return requests.iter_rows()
-    return (
-        (r.client, r.url, r.timestamp, r.total_bytes)
-        for r in sorted(requests, key=request_sort_key)
-    )
-
 
 @dataclass
 class _Endpoint:
@@ -151,7 +116,7 @@ class PrefetchSimulator:
 
     # -- shared helpers ------------------------------------------------------
 
-    def _new_result(self, requests: Sequence[Request]) -> SimulationResult:
+    def _new_result(self) -> SimulationResult:
         result = SimulationResult(
             model_name=self.model.name if self.model is not None else "none"
         )
@@ -273,21 +238,25 @@ class PrefetchSimulator:
         Parameters
         ----------
         requests:
-            Test-day page views in timestamp order (the engine re-sorts
-            defensively), or a columnar
-            :class:`~repro.trace.columnar.RequestBatch` which replays
-            straight off its pre-sorted columns.
+            Test-day page views as a columnar
+            :class:`~repro.trace.columnar.RequestBatch`, which replays
+            straight off its pre-sorted columns, or as request objects in
+            any order, converted once by
+            :meth:`~repro.trace.columnar.RequestBatch.from_requests`
+            (stable on ``(timestamp, client)``).
         client_kinds:
             Optional ``client -> "browser" | "proxy"`` map from
             :meth:`repro.trace.dataset.Trace.classify_clients`; clients
             default to browsers when absent.
         """
+        if not isinstance(requests, RequestBatch):
+            requests = RequestBatch.from_requests(requests)
         cfg = self.config
         kinds = client_kinds or {}
-        result = self._new_result(requests)
+        result = self._new_result()
         states: dict[str, _ClientState] = {}
 
-        for client, url, timestamp, size in replay_rows(requests):
+        for client, url, timestamp, size in requests.iter_rows():
             state = states.get(client)
             if state is None:
                 capacity = (
@@ -367,20 +336,23 @@ class PrefetchSimulator:
         Parameters
         ----------
         requests:
-            Test-day page views (objects or a columnar batch); when
+            Test-day page views (a columnar batch, or request objects
+            converted as in :meth:`run`); when
             ``clients`` is given only requests from those clients are
             replayed (the paper randomly selects 1 to 32 clients per
             proxy).
         """
+        if not isinstance(requests, RequestBatch):
+            requests = RequestBatch.from_requests(requests)
         cfg = self.config
-        result = self._new_result(requests)
+        result = self._new_result()
         wanted = frozenset(clients) if clients is not None else None
 
         proxy = _Endpoint(make_cache(cfg.cache_policy, cfg.proxy_cache_bytes))
         proxy_shadow = make_cache(cfg.cache_policy, cfg.proxy_cache_bytes)
         states: dict[str, _ClientState] = {}
 
-        for client, url, timestamp, size in replay_rows(requests):
+        for client, url, timestamp, size in requests.iter_rows():
             if wanted is not None and client not in wanted:
                 continue
             state = states.get(client)

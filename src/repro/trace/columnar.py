@@ -1,9 +1,9 @@
 """The columnar binary trace plane: mmap-able columns + vectorised replay.
 
-The object path parses an access log into one :class:`LogRecord` per event
-and walks Python loops for every derived view — fine for a day of traffic,
-hopeless for the multi-million-event NASA/UCB logs the paper replays.  This
-module stores a trace as a struct-of-arrays instead:
+One :class:`LogRecord` per event and a Python loop per derived view is
+fine for a day of traffic, hopeless for the multi-million-event NASA/UCB
+logs the paper replays.  This module stores a trace as a struct-of-arrays
+instead:
 
 * one NumPy column per record field (timestamp, size, status, latency),
 * client / URL / method strings interned through
@@ -18,9 +18,11 @@ On top of the columns sit batched twins of every hot trace loop: the
 successful-GET filter, the deterministic ``(timestamp, client, url)`` sort,
 the embedded-object fold, 30-minute sessionisation, popularity counting and
 day splitting — each a handful of NumPy passes producing **bit-identical**
-results to the per-record code (``tests/differential/test_columnar_replay``
-pins that equivalence).  :class:`repro.trace.dataset.Trace` dispatches to
-them when :data:`repro.params.COLUMNAR_TRACE` is on.
+results to the per-record functions (``sort_records``,
+``fold_embedded_objects``, ``sessionize``; the object-pipeline oracle in
+``tests/oracle.py`` and ``tests/differential/test_columnar_replay`` pin that
+equivalence).  :class:`repro.trace.dataset.Trace` derives every view
+through them.
 
 On-disk layout (little-endian), magic ``b"RPCT"``::
 
@@ -1115,7 +1117,12 @@ class RequestBatch:
 
     @classmethod
     def from_requests(cls, requests: Sequence[Request]) -> "RequestBatch":
-        """Batch from :class:`Request` objects (sorted into replay order)."""
+        """Batch from :class:`Request` objects (sorted into replay order).
+
+        The sort is a stable lexsort on ``(timestamp, client)``, so
+        requests with equal keys keep their input order — the order
+        ``sorted(requests, key=lambda r: (r.timestamp, r.client))`` gives.
+        """
         clients = SymbolTable()
         urls = SymbolTable()
         client_ids = np.fromiter(

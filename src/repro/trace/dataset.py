@@ -10,8 +10,8 @@ raw records, derives page views and sessions lazily, and hands out
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.trace.clf_parser import ParseStats
@@ -26,11 +26,14 @@ from repro.trace.columnar import (
     TracePlane,
     materialize_sessions,
 )
-from repro.trace.embedding import fold_embedded_objects
-from repro.trace.record import LogRecord, Request, sort_records
-from repro.trace.sessions import Session, sessionize
+from repro.trace.record import LogRecord, Request
+from repro.trace.sessions import Session
 
 SECONDS_PER_DAY: float = 86_400.0
+
+
+def _day_array(days: frozenset[int]) -> np.ndarray:
+    return np.fromiter(days, dtype=np.int64, count=len(days))
 
 
 @dataclass(frozen=True)
@@ -76,10 +79,9 @@ class Trace:
         surfaced in trace summaries.
 
     ``records`` may also be a :class:`repro.trace.columnar.TraceColumns`
-    (e.g. from :meth:`from_columnar_file`).  Whether the derivation pipeline
-    runs over columns or objects is decided **once**, here, from
-    :data:`repro.params.COLUMNAR_TRACE`; both paths produce bit-identical
-    records, requests, sessions and splits.
+    (e.g. from :meth:`from_columnar_file`).  Every derived view comes from
+    one :class:`repro.trace.columnar.TracePlane` built here; request and
+    session objects are materialised only when asked for.
     """
 
     def __init__(
@@ -97,36 +99,25 @@ class Trace:
         if parse_stats is None and isinstance(records, TraceColumns):
             parse_stats = records.parse_stats
         self.parse_stats = parse_stats
-        self._plane: TracePlane | None = None
         self._materialized: tuple[LogRecord, ...] | None = None
         self._requests: tuple[Request, ...] | None = None
         self._sessions: tuple[Session, ...] | None = None
         self._day_requests: dict[frozenset[int], tuple[Request, ...]] = {}
         self._day_sessions: dict[frozenset[int], tuple[Session, ...]] = {}
         self._splits: dict[tuple[int, int], TrainTestSplit] = {}
-        if params.COLUMNAR_TRACE:
-            columns = (
-                records
-                if isinstance(records, TraceColumns)
-                else TraceColumns.from_records(records)
-            )
-            plane = TracePlane(
-                columns,
-                embed_window_seconds=embed_window_seconds,
-                idle_timeout_seconds=idle_timeout_seconds,
-            )
-            if not len(plane):
-                raise TraceError("trace contains no successful GET records")
-            self._plane = plane
-            first = float(plane.columns.timestamps[0])
-        else:
-            if isinstance(records, TraceColumns):
-                records = records.iter_records()
-            kept = [r for r in sort_records(records) if r.is_successful_get]
-            if not kept:
-                raise TraceError("trace contains no successful GET records")
-            self._materialized = tuple(kept)
-            first = self._materialized[0].timestamp
+        columns = (
+            records
+            if isinstance(records, TraceColumns)
+            else TraceColumns.from_records(records)
+        )
+        self._plane = TracePlane(
+            columns,
+            embed_window_seconds=embed_window_seconds,
+            idle_timeout_seconds=idle_timeout_seconds,
+        )
+        if not len(self._plane):
+            raise TraceError("trace contains no successful GET records")
+        first = float(self._plane.columns.timestamps[0])
         self._epoch = math.floor(first / SECONDS_PER_DAY) * SECONDS_PER_DAY
 
     # -- construction ------------------------------------------------------
@@ -175,35 +166,24 @@ class Trace:
         """A whole-client subsample of this trace.
 
         ``sampler`` is duck-typed (a
-        :class:`repro.sampling.ClientSampler`): the columnar path asks
-        it for a keep-mask over the interned client table and slices
-        the plane in one vectorised pass; the object path filters the
-        record stream through ``sampler.keeps``.  Both select the
-        identical client set, so the derived trace is bit-identical
-        either way (pinned by the sampling differential suite).
+        :class:`repro.sampling.ClientSampler`): it supplies a keep-mask
+        over the interned client table, and the plane is sliced in one
+        vectorised pass.  The kept client set equals filtering the records
+        through ``sampler.keeps`` (pinned by the sampling differential
+        suite).
         """
         label = name or f"{self.name}@r={getattr(sampler, 'rate', '?')}"
-        if self._plane is not None:
-            columns = self._plane.columns
-            rows = np.flatnonzero(
-                sampler.table_mask(columns.client_table)[columns.clients]
+        columns = self._plane.columns
+        rows = np.flatnonzero(
+            sampler.table_mask(columns.client_table)[columns.clients]
+        )
+        if not len(rows):
+            raise TraceError(
+                f"sample of {self.name!r} kept no records; raise the "
+                f"rate or change the salt"
             )
-            if not len(rows):
-                raise TraceError(
-                    f"sample of {self.name!r} kept no records; raise the "
-                    f"rate or change the salt"
-                )
-            source: "Iterable[LogRecord] | TraceColumns" = columns.select(rows)
-        else:
-            kept = [r for r in self.records if sampler.keeps(r.client)]
-            if not kept:
-                raise TraceError(
-                    f"sample of {self.name!r} kept no records; raise the "
-                    f"rate or change the salt"
-                )
-            source = kept
         return Trace(
-            source,
+            columns.select(rows),
             name=label,
             idle_timeout_seconds=self.idle_timeout_seconds,
             embed_window_seconds=self.embed_window_seconds,
@@ -216,7 +196,6 @@ class Trace:
     def records(self) -> tuple[LogRecord, ...]:
         """The filtered, time-ordered raw records."""
         if self._materialized is None:
-            assert self._plane is not None
             self._materialized = tuple(self._plane.columns.iter_records())
         return self._materialized
 
@@ -224,35 +203,20 @@ class Trace:
     def requests(self) -> tuple[Request, ...]:
         """Page views after the embedded-object fold (computed once)."""
         if self._requests is None:
-            if self._plane is not None:
-                self._requests = tuple(self._plane.requests.materialize())
-            else:
-                self._requests = tuple(
-                    fold_embedded_objects(
-                        self.records, window_seconds=self.embed_window_seconds
-                    )
-                )
+            self._requests = tuple(self._plane.requests.materialize())
         return self._requests
 
     @property
     def sessions(self) -> tuple[Session, ...]:
         """All access sessions of the trace (computed once)."""
         if self._sessions is None:
-            if self._plane is not None:
-                self._sessions = tuple(
-                    materialize_sessions(
-                        self._plane.sessions,
-                        self.requests,
-                        self._plane.columns.client_table,
-                    )
+            self._sessions = tuple(
+                materialize_sessions(
+                    self._plane.sessions,
+                    self.requests,
+                    self._plane.columns.client_table,
                 )
-            else:
-                self._sessions = tuple(
-                    sessionize(
-                        self.requests,
-                        idle_timeout_seconds=self.idle_timeout_seconds,
-                    )
-                )
+            )
         return self._sessions
 
     @property
@@ -267,31 +231,26 @@ class Trace:
     @property
     def num_days(self) -> int:
         """Number of (possibly partially covered) days the trace spans."""
-        if self._plane is not None:
-            last = float(self._plane.columns.timestamps[-1])
-        else:
-            last = self.records[-1].timestamp
-        return self.day_of(last) + 1
+        return self.day_of(float(self._plane.columns.timestamps[-1])) + 1
 
     @property
     def urls(self) -> frozenset[str]:
         """Every page URL appearing in the trace."""
-        if self._plane is not None:
-            counts = self._plane.requests.url_counts()
-            table = self._plane.requests.url_table
-            return frozenset(
-                table[i] for i in np.flatnonzero(counts).tolist()
-            )
-        return frozenset(r.url for r in self.requests)
+        counts = self._plane.requests.url_counts()
+        table = self._plane.requests.url_table
+        return frozenset(table[i] for i in np.flatnonzero(counts).tolist())
 
     @property
     def clients(self) -> frozenset[str]:
         """Every client id appearing in the trace."""
-        if self._plane is not None:
-            return self._plane.record_clients()
-        return frozenset(r.client for r in self.records)
+        return self._plane.record_clients()
 
     # -- day slicing ---------------------------------------------------------
+
+    def _request_rows(self, days: frozenset[int]) -> np.ndarray:
+        """Request-column rows whose timestamp falls on any of ``days``."""
+        day = self._plane.requests.day_index(self._epoch)
+        return np.flatnonzero(np.isin(day, _day_array(days)))
 
     def requests_for_days(self, days: Iterable[int]) -> tuple[Request, ...]:
         """Page views whose timestamp falls on any of the given days."""
@@ -299,17 +258,10 @@ class Trace:
         cached = self._day_requests.get(wanted)
         if cached is not None:
             return cached
-        if self._plane is not None:
-            day = self._plane.requests.day_index(self._epoch)
-            rows = np.flatnonzero(
-                np.isin(day, np.fromiter(wanted, dtype=np.int64, count=len(wanted)))
-            )
-            requests = self.requests
-            selected = tuple(requests[i] for i in rows.tolist())
-        else:
-            selected = tuple(
-                r for r in self.requests if self.day_of(r.timestamp) in wanted
-            )
+        requests = self.requests
+        selected = tuple(
+            requests[i] for i in self._request_rows(wanted).tolist()
+        )
         self._day_requests[wanted] = selected
         return selected
 
@@ -324,19 +276,12 @@ class Trace:
         cached = self._day_sessions.get(wanted)
         if cached is not None:
             return cached
-        if self._plane is not None:
-            day = np.floor_divide(
-                self._plane.sessions.start_times - self._epoch, SECONDS_PER_DAY
-            ).astype(np.int64)
-            rows = np.flatnonzero(
-                np.isin(day, np.fromiter(wanted, dtype=np.int64, count=len(wanted)))
-            )
-            sessions = self.sessions
-            selected = tuple(sessions[i] for i in rows.tolist())
-        else:
-            selected = tuple(
-                s for s in self.sessions if self.day_of(s.start_time) in wanted
-            )
+        day = np.floor_divide(
+            self._plane.sessions.start_times - self._epoch, SECONDS_PER_DAY
+        ).astype(np.int64)
+        rows = np.flatnonzero(np.isin(day, _day_array(wanted)))
+        sessions = self.sessions
+        selected = tuple(sessions[i] for i in rows.tolist())
         self._day_sessions[wanted] = selected
         return selected
 
@@ -348,6 +293,8 @@ class Trace:
         """
         if train_days < 1:
             raise TraceError(f"need at least one training day, got {train_days}")
+        if test_days < 1:
+            raise TraceError(f"need at least one test day, got {test_days}")
         if train_days + test_days > self.num_days:
             raise TraceError(
                 f"trace {self.name!r} spans {self.num_days} days; cannot train "
@@ -373,18 +320,13 @@ class Trace:
         """Column-backed replay batch of the given days' page views.
 
         The batch feeds :meth:`repro.sim.engine.PrefetchSimulator.run`
-        directly (and shards by row range under the parallel engine); on a
-        columnar trace it is sliced from the request columns without
-        materialising a single :class:`Request`.
+        directly (and shards by row range under the parallel engine); it
+        is sliced from the request columns without materialising a single
+        :class:`Request`.
         """
-        wanted = frozenset(days)
-        if self._plane is not None:
-            day = self._plane.requests.day_index(self._epoch)
-            rows = np.flatnonzero(
-                np.isin(day, np.fromiter(wanted, dtype=np.int64, count=len(wanted)))
-            )
-            return RequestBatch.from_request_columns(self._plane.requests, rows)
-        return RequestBatch.from_requests(self.requests_for_days(wanted))
+        return RequestBatch.from_request_columns(
+            self._plane.requests, self._request_rows(frozenset(days))
+        )
 
     def request_batch_after(self, cut: float) -> RequestBatch:
         """Column-backed replay batch of page views after a time cut.
@@ -394,12 +336,8 @@ class Trace:
         straight from the request columns, so evaluating a cell never
         materialises its test requests as objects.
         """
-        if self._plane is not None:
-            rows = np.flatnonzero(self._plane.requests.timestamps > cut)
-            return RequestBatch.from_request_columns(self._plane.requests, rows)
-        return RequestBatch.from_requests(
-            tuple(r for r in self.requests if r.timestamp > cut)
-        )
+        rows = np.flatnonzero(self._plane.requests.timestamps > cut)
+        return RequestBatch.from_request_columns(self._plane.requests, rows)
 
     # -- derived tables -------------------------------------------------------
 
@@ -407,10 +345,10 @@ class Trace:
         self, requests: Sequence[Request] | None = None
     ) -> dict[str, int]:
         """Access count per page URL (over given requests, or all of them)."""
-        if requests is None and self._plane is not None:
+        if requests is None:
             return self._plane.url_access_counts()
         counts: dict[str, int] = {}
-        for request in requests if requests is not None else self.requests:
+        for request in requests:
             counts[request.url] = counts.get(request.url, 0) + 1
         return counts
 
@@ -421,14 +359,7 @@ class Trace:
         documents) the largest observation is used, which is conservative
         for traffic accounting.
         """
-        if self._plane is not None:
-            return self._plane.url_size_table()
-        sizes: dict[str, int] = {}
-        for request in self.requests:
-            total = request.total_bytes
-            if total > sizes.get(request.url, -1):
-                sizes[request.url] = total
-        return sizes
+        return self._plane.url_size_table()
 
     def requests_per_client_per_day(self) -> dict[str, float]:
         """Mean raw-request rate per client per active day.
@@ -436,19 +367,7 @@ class Trace:
         Used to classify clients as proxies versus browsers (paper: a
         client issuing more than 100 requests per day is a proxy).
         """
-        if self._plane is not None:
-            return self._plane.requests_per_client_per_day(self._epoch)
-        per_client_days: dict[str, set[int]] = {}
-        per_client_count: dict[str, int] = {}
-        for record in self.records:
-            per_client_days.setdefault(record.client, set()).add(
-                self.day_of(record.timestamp)
-            )
-            per_client_count[record.client] = per_client_count.get(record.client, 0) + 1
-        return {
-            client: per_client_count[client] / len(per_client_days[client])
-            for client in per_client_count
-        }
+        return self._plane.requests_per_client_per_day(self._epoch)
 
     def classify_clients(
         self, *, proxy_requests_per_day: float = params.PROXY_REQUESTS_PER_DAY
@@ -461,9 +380,7 @@ class Trace:
         }
 
     def __len__(self) -> int:
-        if self._plane is not None:
-            return len(self._plane)
-        return len(self.records)
+        return len(self._plane)
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return (

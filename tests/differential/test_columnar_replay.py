@@ -1,15 +1,16 @@
 """Differential testing: the columnar trace plane vs the object pipeline.
 
-``params.COLUMNAR_TRACE`` selects between two independent implementations
-of the whole trace-derivation pipeline:
+Two independent implementations of the whole trace-derivation pipeline:
 
-1. **object** — ``sort_records`` / ``fold_embedded_objects`` /
-   ``sessionize`` over :class:`~repro.trace.record.LogRecord` objects, the
-   original reference path;
-2. **columnar** — :class:`~repro.trace.columnar.TracePlane` running the
-   same derivations as batched numpy passes over interned ID arrays, with
-   the simulator replaying a :class:`~repro.trace.columnar.RequestBatch`
-   instead of request objects.
+1. **object** — the oracle :func:`tests.oracle.object_trace`:
+   ``sort_records`` / ``fold_embedded_objects`` / ``sessionize`` over
+   :class:`~repro.trace.record.LogRecord` objects, the reference path,
+   whose test-day request objects the simulator converts at entry;
+2. **columnar** — :class:`~repro.trace.dataset.Trace`, whose
+   :class:`~repro.trace.columnar.TracePlane` runs the same derivations as
+   batched numpy passes over interned ID arrays, with the simulator
+   replaying a :class:`~repro.trace.columnar.RequestBatch` sliced from the
+   plane.
 
 The contract is bit-identity: sessionisation, popularity counts, the
 fitted model structure and every simulator metric must be **exactly
@@ -20,8 +21,8 @@ paths and compares aspect by aspect.  On divergence a greedy-delta
 shrinking loop reduces the record list to a minimal reproducer before
 failing, mirroring the prediction-path harness in ``test_agreement.py``.
 A second group pins the parallel engine: a fault-armed sharded replay of
-a columnar batch merges to the same result as object shards and a serial
-run, through injected worker crashes and hangs.
+a columnar batch merges to the same result as a request-object list and a
+serial run, through injected worker crashes and hangs.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import random
 
 import pytest
 
-from repro import params
 from repro.core.pb import PopularityBasedPPM
 from repro.core.popularity import PopularityTable
 from repro.core.serialize import dumps_model
@@ -44,6 +44,7 @@ from repro.synth.generator import TraceGenerator
 from repro.trace.dataset import Trace
 from repro.trace.record import LogRecord
 
+from tests.oracle import object_trace
 from tests.parallel.test_equivalence import assert_results_identical
 
 SEED = 20260808
@@ -92,15 +93,10 @@ def _chaoticize(records: list[LogRecord], seed: int) -> list[LogRecord]:
     return mixed
 
 
-def _build_trace(records, *, columnar: bool) -> Trace:
-    previous = params.COLUMNAR_TRACE
-    params.COLUMNAR_TRACE = columnar
-    try:
-        # The path is chosen once, inside Trace.__init__, so restoring the
-        # flag afterwards cannot flip later lazy derivations.
+def _build_trace(records, *, columnar: bool):
+    if columnar:
         return Trace(list(records))
-    finally:
-        params.COLUMNAR_TRACE = previous
+    return object_trace(list(records))
 
 
 def _signature(records, *, columnar: bool) -> dict:
@@ -258,7 +254,7 @@ class TestShrinker:
 
 
 # ---------------------------------------------------------------------------
-# Fault-armed parallel replay: batch shards merge like object shards
+# Fault-armed parallel replay: a batch merges like a request-object list
 # ---------------------------------------------------------------------------
 
 

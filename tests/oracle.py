@@ -12,12 +12,19 @@ suites can prove the compiled path changes nothing:
 * the two Section 3.4 pruning passes over a node forest;
 * the longest-match walk the baselines use and PB-PPM's merged walk.
 
+A second section keeps the trace-derivation pipeline the same way:
+:func:`object_trace` derives page views, sessions, day slices and splits
+from :class:`~repro.trace.record.LogRecord` objects through the per-record
+functions (``sort_records``, ``fold_embedded_objects``, ``sessionize``), the
+reference the columnar :class:`~repro.trace.dataset.Trace` must equal.
+
 It is test code only; nothing under ``src/`` imports it.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+import math
+from typing import Iterable, Mapping, Sequence
 
 from repro import params
 from repro.core.extras import FirstOrderMarkov
@@ -34,6 +41,12 @@ from repro.core.serialize import (
 )
 from repro.core.standard import StandardPPM
 from repro.core.stats import path_utilization, reset_usage
+from repro.errors import TraceError
+from repro.trace.columnar import RequestBatch, TraceColumns
+from repro.trace.dataset import SECONDS_PER_DAY, TrainTestSplit
+from repro.trace.embedding import fold_embedded_objects
+from repro.trace.record import LogRecord, Request, sort_records
+from repro.trace.sessions import Session, sessionize
 
 # --------------------------------------------------------------------------
 # Pruning (paper Section 3.4) over a node forest
@@ -531,3 +544,185 @@ def node_built(model, sessions):
             **oracle.document(),
         }
     )
+
+
+# --------------------------------------------------------------------------
+# The object trace pipeline (paper Section 4's data preparation)
+# --------------------------------------------------------------------------
+
+
+class ObjectTrace:
+    """:class:`~repro.trace.dataset.Trace`'s API over record objects.
+
+    Every view is derived with Python loops over
+    :class:`~repro.trace.record.LogRecord` / :class:`Request` objects: filter
+    to successful GETs, ``sort_records``, ``fold_embedded_objects``,
+    ``sessionize``, and day membership by ``day_of``.
+    """
+
+    def __init__(
+        self,
+        records: "Iterable[LogRecord] | TraceColumns",
+        *,
+        name: str = "trace",
+        idle_timeout_seconds: float = params.SESSION_IDLE_TIMEOUT_S,
+        embed_window_seconds: float = params.EMBEDDED_OBJECT_WINDOW_S,
+    ) -> None:
+        self.name = name
+        self.idle_timeout_seconds = idle_timeout_seconds
+        self.embed_window_seconds = embed_window_seconds
+        if isinstance(records, TraceColumns):
+            records = records.iter_records()
+        kept = [r for r in sort_records(records) if r.is_successful_get]
+        if not kept:
+            raise TraceError("trace contains no successful GET records")
+        self.records: tuple[LogRecord, ...] = tuple(kept)
+        self._requests: tuple[Request, ...] | None = None
+        self._sessions: tuple[Session, ...] | None = None
+        self._splits: dict[tuple[int, int], TrainTestSplit] = {}
+        first = self.records[0].timestamp
+        self.epoch = math.floor(first / SECONDS_PER_DAY) * SECONDS_PER_DAY
+
+    def sampled(self, sampler, *, name: str | None = None) -> "ObjectTrace":
+        """A whole-client subsample: records filtered by ``sampler.keeps``."""
+        kept = [r for r in self.records if sampler.keeps(r.client)]
+        if not kept:
+            raise TraceError(
+                f"sample of {self.name!r} kept no records; raise the "
+                f"rate or change the salt"
+            )
+        return ObjectTrace(
+            kept,
+            name=name or f"{self.name}@r={getattr(sampler, 'rate', '?')}",
+            idle_timeout_seconds=self.idle_timeout_seconds,
+            embed_window_seconds=self.embed_window_seconds,
+        )
+
+    @property
+    def requests(self) -> tuple[Request, ...]:
+        if self._requests is None:
+            self._requests = tuple(
+                fold_embedded_objects(
+                    self.records, window_seconds=self.embed_window_seconds
+                )
+            )
+        return self._requests
+
+    @property
+    def sessions(self) -> tuple[Session, ...]:
+        if self._sessions is None:
+            self._sessions = tuple(
+                sessionize(
+                    self.requests, idle_timeout_seconds=self.idle_timeout_seconds
+                )
+            )
+        return self._sessions
+
+    def day_of(self, timestamp: float) -> int:
+        return int((timestamp - self.epoch) // SECONDS_PER_DAY)
+
+    @property
+    def num_days(self) -> int:
+        return self.day_of(self.records[-1].timestamp) + 1
+
+    @property
+    def urls(self) -> frozenset[str]:
+        return frozenset(r.url for r in self.requests)
+
+    @property
+    def clients(self) -> frozenset[str]:
+        return frozenset(r.client for r in self.records)
+
+    def requests_for_days(self, days: Iterable[int]) -> tuple[Request, ...]:
+        wanted = frozenset(days)
+        return tuple(r for r in self.requests if self.day_of(r.timestamp) in wanted)
+
+    def sessions_for_days(self, days: Iterable[int]) -> tuple[Session, ...]:
+        wanted = frozenset(days)
+        return tuple(
+            s for s in self.sessions if self.day_of(s.start_time) in wanted
+        )
+
+    def split(self, train_days: int, *, test_days: int = 1) -> TrainTestSplit:
+        if train_days < 1:
+            raise TraceError(f"need at least one training day, got {train_days}")
+        if test_days < 1:
+            raise TraceError(f"need at least one test day, got {test_days}")
+        if train_days + test_days > self.num_days:
+            raise TraceError(
+                f"trace {self.name!r} spans {self.num_days} days; cannot train "
+                f"on {train_days} and test on {test_days}"
+            )
+        key = (train_days, test_days)
+        if key not in self._splits:
+            train = tuple(range(train_days))
+            test = tuple(range(train_days, train_days + test_days))
+            self._splits[key] = TrainTestSplit(
+                train_days=train,
+                test_days=test,
+                train_sessions=self.sessions_for_days(train),
+                test_sessions=self.sessions_for_days(test),
+                train_requests=self.requests_for_days(train),
+                test_requests=self.requests_for_days(test),
+            )
+        return self._splits[key]
+
+    def request_batch_for_days(self, days: Iterable[int]) -> RequestBatch:
+        return RequestBatch.from_requests(self.requests_for_days(days))
+
+    def request_batch_after(self, cut: float) -> RequestBatch:
+        return RequestBatch.from_requests(
+            tuple(r for r in self.requests if r.timestamp > cut)
+        )
+
+    def url_access_counts(
+        self, requests: Sequence[Request] | None = None
+    ) -> dict[str, int]:
+        counts: dict[str, int] = {}
+        for request in requests if requests is not None else self.requests:
+            counts[request.url] = counts.get(request.url, 0) + 1
+        return counts
+
+    def url_size_table(self) -> dict[str, int]:
+        sizes: dict[str, int] = {}
+        for request in self.requests:
+            total = request.total_bytes
+            if total > sizes.get(request.url, -1):
+                sizes[request.url] = total
+        return sizes
+
+    def requests_per_client_per_day(self) -> dict[str, float]:
+        per_client_days: dict[str, set[int]] = {}
+        per_client_count: dict[str, int] = {}
+        for record in self.records:
+            per_client_days.setdefault(record.client, set()).add(
+                self.day_of(record.timestamp)
+            )
+            per_client_count[record.client] = per_client_count.get(record.client, 0) + 1
+        return {
+            client: per_client_count[client] / len(per_client_days[client])
+            for client in per_client_count
+        }
+
+    def classify_clients(
+        self, *, proxy_requests_per_day: float = params.PROXY_REQUESTS_PER_DAY
+    ) -> dict[str, str]:
+        return {
+            client: "proxy" if rate > proxy_requests_per_day else "browser"
+            for client, rate in self.requests_per_client_per_day().items()
+        }
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+
+def object_trace(records, **kwargs) -> ObjectTrace:
+    """The object-pipeline reference trace of ``records`` (see
+    :class:`ObjectTrace`); keyword arguments as for
+    :class:`~repro.trace.dataset.Trace`."""
+    return ObjectTrace(records, **kwargs)
+
+
+def replay_order(requests: Sequence[Request]) -> list[Request]:
+    """The replay engine's order: stable sort on ``(timestamp, client)``."""
+    return sorted(requests, key=lambda r: (r.timestamp, r.client))

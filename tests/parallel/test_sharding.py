@@ -5,13 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.parallel.merge import merge_outcomes
-from repro.parallel.sharding import shard_by_client, shard_client_kinds
+from repro.parallel.sharding import shard_batch_by_client, shard_client_kinds
 from repro.parallel.worker import ShardOutcome
 from repro.sim.metrics import SimulationResult
+from repro.trace.columnar import RequestBatch
 from repro.trace.record import Request
 
 
-def make_requests(spec: dict[str, int]) -> list[Request]:
+def make_requests(spec: dict[str, int]) -> RequestBatch:
     """``{"client": n}`` -> n requests per client, interleaved in time."""
     requests = []
     for index, (client, count) in enumerate(sorted(spec.items())):
@@ -24,58 +25,68 @@ def make_requests(spec: dict[str, int]) -> list[Request]:
                     size=100,
                 )
             )
-    return requests
+    return RequestBatch.from_requests(requests)
+
+
+def rows(batch: RequestBatch) -> list[tuple[str, str, float, int]]:
+    return list(batch.iter_rows())
 
 
 class TestShardByClient:
     def test_clients_never_split_across_shards(self):
         requests = make_requests({"a": 5, "b": 3, "c": 7, "d": 1})
-        plan = shard_by_client(requests, 3)
+        plan = shard_batch_by_client(requests, 3)
         seen: dict[str, int] = {}
         for index, shard in enumerate(plan.shards):
-            for request in shard:
-                assert seen.setdefault(request.client, index) == index
+            for client, *_ in rows(shard):
+                assert seen.setdefault(client, index) == index
 
     def test_all_requests_preserved(self):
         requests = make_requests({"a": 5, "b": 3, "c": 7})
-        plan = shard_by_client(requests, 2)
-        merged = [request for shard in plan.shards for request in shard]
-        assert sorted(
-            (r.client, r.timestamp, r.url) for r in merged
-        ) == sorted((r.client, r.timestamp, r.url) for r in requests)
+        plan = shard_batch_by_client(requests, 2)
+        merged = [row for shard in plan.shards for row in rows(shard)]
+        assert sorted(merged) == sorted(rows(requests))
+        # Each shard keeps the replay order of the batch it was cut from.
+        for shard in plan.shards:
+            clients = {row[0] for row in rows(shard)}
+            assert rows(shard) == [
+                row for row in rows(requests) if row[0] in clients
+            ]
 
     def test_deterministic(self):
         requests = make_requests({"a": 4, "b": 4, "c": 4, "d": 2, "e": 2})
-        first = shard_by_client(requests, 3)
-        second = shard_by_client(requests, 3)
+        first = shard_batch_by_client(requests, 3)
+        second = shard_batch_by_client(requests, 3)
         assert first.client_to_shard == second.client_to_shard
-        assert first.shards == second.shards
+        assert [rows(shard) for shard in first.shards] == [
+            rows(shard) for shard in second.shards
+        ]
 
     def test_greedy_balance(self):
         # One heavy client plus many light ones: the heavy client gets its
         # own shard and the light ones fill the other.
         requests = make_requests({"heavy": 100, "l1": 5, "l2": 5, "l3": 5})
-        plan = shard_by_client(requests, 2)
+        plan = shard_batch_by_client(requests, 2)
         loads = sorted(len(shard) for shard in plan.shards)
         assert loads == [15, 100]
 
     def test_more_shards_than_clients(self):
         requests = make_requests({"a": 2, "b": 2})
-        plan = shard_by_client(requests, 8)
+        plan = shard_batch_by_client(requests, 8)
         assert plan.shard_count == 2
 
     def test_empty_stream(self):
-        plan = shard_by_client([], 4)
+        plan = shard_batch_by_client(RequestBatch.from_requests([]), 4)
         assert plan.shard_count == 0
         assert plan.client_to_shard == {}
 
     def test_invalid_shard_count(self):
         with pytest.raises(ValueError):
-            shard_by_client([], 0)
+            shard_batch_by_client(RequestBatch.from_requests([]), 0)
 
     def test_client_kind_subsets(self):
         requests = make_requests({"a": 5, "b": 3, "c": 7})
-        plan = shard_by_client(requests, 2)
+        plan = shard_batch_by_client(requests, 2)
         kinds = {"a": "browser", "b": "proxy", "c": "browser"}
         subsets = shard_client_kinds(plan, kinds)
         assert len(subsets) == plan.shard_count
@@ -85,7 +96,7 @@ class TestShardByClient:
         assert rejoined == kinds
 
     def test_client_kind_subsets_none(self):
-        plan = shard_by_client(make_requests({"a": 1}), 1)
+        plan = shard_batch_by_client(make_requests({"a": 1}), 1)
         assert shard_client_kinds(plan, None) == [{}]
 
 

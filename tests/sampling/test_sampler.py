@@ -8,7 +8,6 @@ import os
 
 import pytest
 
-from repro import params
 from repro.cli import main
 from repro.errors import SamplingError, TraceError, WorkloadError
 from repro.sampling import HASH_SPAN, SUPPORTED_RATES, ClientSampler, client_hash
@@ -17,6 +16,8 @@ from repro.trace.columnar import ColumnarWriter, TraceColumns
 from repro.trace.dataset import Trace
 from repro.workloads import create_workload, stream_to_columnar
 from repro.workloads.grid import DEFAULT_GRID, validate_grid_spec
+
+from tests.oracle import object_trace
 
 
 class TestValidation:
@@ -70,13 +71,7 @@ class TestTraceSampled:
     def test_columnar_and_object_paths_select_same_clients(self, trace):
         sampler = ClientSampler(0.3, salt=7)
         sampled = trace.sampled(sampler)
-        previous = params.COLUMNAR_TRACE
-        params.COLUMNAR_TRACE = False
-        try:
-            object_trace = Trace(list(trace.records))
-            object_sampled = object_trace.sampled(sampler)
-        finally:
-            params.COLUMNAR_TRACE = previous
+        object_sampled = object_trace(list(trace.records)).sampled(sampler)
         assert sampled.clients == object_sampled.clients
         assert sampled.clients == sampler.sampled_clients(trace.clients)
         assert [r.url for r in sampled.requests] == [
@@ -98,14 +93,8 @@ class TestTraceSampled:
         batch = trace.request_batch_after(cut)
         expected = [r for r in trace.requests if r.timestamp > cut]
         assert len(batch) == len(expected)
-        previous = params.COLUMNAR_TRACE
-        params.COLUMNAR_TRACE = False
-        try:
-            object_trace = Trace(list(trace.records))
-            object_batch = object_trace.request_batch_after(cut)
-        finally:
-            params.COLUMNAR_TRACE = previous
-        assert len(object_batch) == len(expected)
+        object_batch = object_trace(list(trace.records)).request_batch_after(cut)
+        assert list(object_batch.iter_rows()) == list(batch.iter_rows())
 
 
 class TestBridgeSampling:

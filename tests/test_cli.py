@@ -207,3 +207,15 @@ class TestArgumentErrors:
             main([*argv, f"--threshold={threshold}"])
         assert excinfo.value.code == 2
         assert "threshold" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("days", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "argv", [["loadgen", "--spawn"], ["chaos"]], ids=["loadgen", "chaos"]
+    )
+    def test_days_below_one_is_an_argument_error(self, capsys, argv, days):
+        # A zero-day test window has nothing to replay; it must be refused
+        # up front, not surface later as an unrelated trace error.
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, f"--days={days}"])
+        assert excinfo.value.code == 2
+        assert "--days" in capsys.readouterr().err

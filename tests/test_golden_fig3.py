@@ -20,8 +20,11 @@ from pathlib import Path
 
 import pytest
 
-from repro import params
+from repro.experiments import lab as lab_module
 from repro.experiments.lab import WorkloadLab
+from repro.synth.generator import TraceGenerator
+
+from tests.oracle import object_trace
 
 SNAPSHOT_PATH = Path(__file__).parent / "golden" / "fig3_small.json"
 
@@ -72,16 +75,22 @@ def cells(request) -> dict[str, dict[str, float | int]]:
     by the replay's first prediction ("uncompiled").
 
     The snapshot is pipeline-independent: the columnar plane and the
-    object path must land on the same committed numbers, whenever the
-    table is built.
+    object-pipeline oracle (swapped in as the lab's trace) must land on
+    the same committed numbers, whenever the table is built.
     """
     columnar, precompile = request.param
-    previous = params.COLUMNAR_TRACE
-    params.COLUMNAR_TRACE = columnar
-    try:
+    if columnar:
         return compute_cells(precompile)
-    finally:
-        params.COLUMNAR_TRACE = previous
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lab_module, "generate_trace", _object_trace)
+        return compute_cells(precompile)
+
+
+def _object_trace(profile, *, days, seed, scale):
+    """The lab's ``generate_trace``, derived by the object oracle."""
+    return object_trace(
+        TraceGenerator(profile, seed=seed, scale=scale).generate_records(days)
+    )
 
 
 @pytest.fixture(scope="module")

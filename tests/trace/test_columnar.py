@@ -15,9 +15,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro import params
 from repro.errors import ModelError, TraceError
-from repro.sim.engine import request_sort_key
 from repro.synth.generator import TraceGenerator
 from repro.trace.clf_parser import ParseStats, write_clf_file
 from repro.trace.columnar import (
@@ -28,20 +26,12 @@ from repro.trace.columnar import (
 from repro.trace.dataset import Trace
 from repro.trace.record import LogRecord
 
+from tests.oracle import object_trace, replay_order
+
 
 @pytest.fixture(scope="module")
 def records():
     return TraceGenerator("nasa-like", seed=21, scale=0.05).generate_records(2)
-
-
-@pytest.fixture
-def flag(request, monkeypatch):
-    """Set ``params.COLUMNAR_TRACE`` for one test."""
-
-    def _set(value: bool) -> None:
-        monkeypatch.setattr(params, "COLUMNAR_TRACE", value)
-
-    return _set
 
 
 # ---------------------------------------------------------------------------
@@ -50,15 +40,13 @@ def flag(request, monkeypatch):
 
 
 class TestSinglePassParsing:
-    @pytest.mark.parametrize("columnar", (True, False), ids=("columnar", "object"))
     def test_log_file_is_opened_exactly_once(
-        self, records, tmp_path, monkeypatch, flag, columnar
+        self, records, tmp_path, monkeypatch
     ):
         """Repeated split/day accesses must never re-read the log."""
         path = tmp_path / "access.log"
         with open(path, "w", encoding="ascii") as handle:
             write_clf_file(records, handle)
-        flag(columnar)
         opens = []
         real_open = builtins.open
 
@@ -78,9 +66,7 @@ class TestSinglePassParsing:
         assert trace.parse_stats is not None
         assert trace.parse_stats.parsed == len(records)
 
-    @pytest.mark.parametrize("columnar", (True, False), ids=("columnar", "object"))
-    def test_splits_and_day_slices_are_cached(self, records, flag, columnar):
-        flag(columnar)
+    def test_splits_and_day_slices_are_cached(self, records):
         trace = Trace(list(records))
         assert trace.split(1) is trace.split(1)
         assert trace.requests_for_days((0,)) is trace.requests_for_days((0,))
@@ -165,21 +151,18 @@ class TestColumnarWriter:
 class TestRequestBatch:
     @pytest.fixture(scope="class")
     def trace(self, records):
-        previous = params.COLUMNAR_TRACE
-        params.COLUMNAR_TRACE = True
-        try:
-            return Trace(list(records))
-        finally:
-            params.COLUMNAR_TRACE = previous
+        return Trace(list(records))
 
     def test_matches_sorted_request_objects(self, trace):
         batch = trace.request_batch_for_days((1,))
-        requests = sorted(trace.requests_for_days((1,)), key=request_sort_key)
+        requests = replay_order(
+            object_trace(list(trace.records)).requests_for_days((1,))
+        )
         assert len(batch) == len(requests)
         assert list(batch.iter_rows()) == [
             (r.client, r.url, r.timestamp, r.total_bytes) for r in requests
         ]
-        assert batch.replay_keys() == [request_sort_key(r) for r in requests]
+        assert batch.replay_keys() == [(r.timestamp, r.client) for r in requests]
 
     def test_from_requests_equals_column_slicing(self, trace):
         sliced = trace.request_batch_for_days((0, 1))
@@ -233,12 +216,11 @@ class TestMmapLifecycle:
 
 
 class TestGuardRails:
-    def test_empty_trace_raises_on_both_paths(self, flag):
+    def test_empty_trace_raises_on_both_paths(self):
         noise = [LogRecord(client="c", timestamp=1.0, url="/x", size=1, status=404)]
-        for columnar in (True, False):
-            flag(columnar)
+        for build in (Trace, object_trace):
             with pytest.raises(TraceError, match="no successful GET"):
-                Trace(list(noise))
+                build(list(noise))
 
     def test_cli_convert_and_summarize_round_trip(
         self, records, tmp_path, capsys

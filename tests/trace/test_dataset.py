@@ -101,6 +101,11 @@ class TestSplit:
         with pytest.raises(TraceError):
             three_day_trace.split(train_days=0)
 
+    @pytest.mark.parametrize("test_days", [0, -1])
+    def test_split_rejects_empty_test_window(self, three_day_trace, test_days):
+        with pytest.raises(TraceError, match="at least one test day"):
+            three_day_trace.split(train_days=1, test_days=test_days)
+
     def test_split_rejects_overrun(self, three_day_trace):
         with pytest.raises(TraceError):
             three_day_trace.split(train_days=3)  # no day left to test
